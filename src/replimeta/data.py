@@ -260,6 +260,13 @@ def _parse_float(cell: str, what: str, where: str) -> float:
     return value
 
 
+def _parse_int(cell: str, what: str, where: str) -> int:
+    value = _parse_float(cell, what, where)
+    if value != int(value):
+        raise DataError(f"{where}: {what} must be an integer, got {cell.strip()!r}")
+    return int(value)
+
+
 def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> ReplicationSet:
     """Load and validate a long-format raw dataset.
 
@@ -334,18 +341,11 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
             seen.add(exp)
             corr_cell = row["corr"].strip()
             corr = None if corr_cell == "" else _parse_float(corr_cell, "corr", where)
+            counts = [_parse_int(row[name], name, where) for name in ("n_control", "n_treatment")]
+            moments = [_parse_float(row[name], name, where)
+                       for name in ("mean_control", "sd_control", "mean_treatment", "sd_treatment")]
             try:
-                rows.append(SummaryRow(
-                    experiment_id=exp,
-                    n_control=int(_parse_float(row["n_control"], "n_control", where)),
-                    n_treatment=int(_parse_float(row["n_treatment"], "n_treatment", where)),
-                    mean_control=_parse_float(row["mean_control"], "mean_control", where),
-                    sd_control=_parse_float(row["sd_control"], "sd_control", where),
-                    mean_treatment=_parse_float(row["mean_treatment"], "mean_treatment", where),
-                    sd_treatment=_parse_float(row["sd_treatment"], "sd_treatment", where),
-                    corr=corr,
-                    design=row["design"].strip(),
-                ))
+                rows.append(SummaryRow(exp, *counts, *moments, corr, row["design"].strip()))
             except DataError as err:
                 raise DataError(f"{where}: {err}") from None
     if not rows:
@@ -388,12 +388,7 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
             if known is not None and key not in known:
                 raise DataError(f"{where}: participant {pid!r} of experiment {exp!r} "
                                 f"is not present in the raw data")
-            values = {}
-            for name in ORDINAL_COVARIATES:
-                v = _parse_float(row[name], name, where)
-                if v != int(v):
-                    raise DataError(f"{where}: {name} must be an integer in 1..4, got {v}")
-                values[name] = int(v)
+            values = {name: _parse_int(row[name], name, where) for name in ORDINAL_COVARIATES}
             try:
                 rows.append(CovariateRow(exp, pid, row["subject_type"].strip(), values))
             except DataError as err:

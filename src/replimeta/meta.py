@@ -19,7 +19,7 @@ import numpy as np
 
 from .descriptives import AnalysisWarning
 from .effects import EffectSize
-from .numerics import chisq_sf, normal_cdf, normal_quantile, wls_solve
+from .numerics import chisq_sf, normal_quantile, wls_solve
 
 __all__ = [
     "ForestPlotModel",
@@ -62,7 +62,8 @@ class MetaResult:
 
 
 def _z_p(z: float) -> float:
-    return min(1.0, max(2.0 * (1.0 - normal_cdf(abs(z))), 1e-300))
+    """Two-sided normal p-value, from the upper tail so that it keeps its digits."""
+    return min(1.0, max(math.erfc(abs(z) / math.sqrt(2.0)), 1e-300))
 
 
 def _heterogeneity(d: np.ndarray, v: np.ndarray) -> tuple[float, int, float, float]:
@@ -262,12 +263,10 @@ def meta_regression(effects: list[EffectSize]) -> MetaRegressionResult:
 
     # method-of-moments residual tau^2 from the fixed-weight fit
     w = 1.0 / v
-    beta_f, _ = wls_solve(design, d, w)
+    beta_f, xtwx_inv = wls_solve(design, d, w)
     resid = d - design @ beta_f
     q_e = float(np.sum(w * resid ** 2))
-    wmat = np.diag(w)
-    xtwx_inv = np.linalg.inv(design.T @ wmat @ design)
-    trace_term = float(np.trace(xtwx_inv @ design.T @ np.diag(w ** 2) @ design))
+    trace_term = float(np.trace(xtwx_inv @ (design.T @ (design * (w ** 2)[:, None]))))
     c = float(np.sum(w)) - trace_term
     df = len(d) - 2
     tau2 = max(0.0, (q_e - df) / c) if c > 0 else 0.0

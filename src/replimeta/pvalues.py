@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .individual import TestResult
-from .numerics import chisq_sf, normal_cdf, normal_quantile
+from .numerics import chisq_sf, normal_quantile
 
 __all__ = ["PooledPValue", "VoteCount", "POOLING_WARNING", "fisher_pool", "stouffer_pool", "vote_count"]
 
@@ -67,7 +67,8 @@ def fisher_pool(one_sided_ps: list[float]) -> PooledPValue:
 
 def stouffer_pool(one_sided_ps: list[float], weights: list[float] | None = None) -> PooledPValue:
     """Stouffer's method: z = sum(w z_i) / sqrt(sum w^2) with z_i the normal
-    quantile of 1 - p_i. Unweighted by default."""
+    quantile of 1 - p_i, taken as -normal_quantile(p_i) so that a small p_i
+    keeps its digits. Unweighted by default."""
     ps = list(one_sided_ps)
     _check_ps(ps)
     if weights is None:
@@ -78,10 +79,9 @@ def stouffer_pool(one_sided_ps: list[float], weights: list[float] | None = None)
             raise ValueError("weights must match the p-values one to one")
         if any(x < 0 for x in w) or all(x == 0 for x in w):
             raise ValueError("weights must be nonnegative and not all zero")
-    zs = [normal_quantile(min(1.0 - 1e-16, 1.0 - p)) if p < 1.0 else normal_quantile(1e-16)
-          for p in ps]
+    zs = [-normal_quantile(p) if p < 1.0 else normal_quantile(1e-16) for p in ps]
     z = sum(wi * zi for wi, zi in zip(w, zs)) / math.sqrt(sum(wi * wi for wi in w))
-    return PooledPValue("stouffer", z, None, max(1.0 - normal_cdf(z), 1e-300))
+    return PooledPValue("stouffer", z, None, max(0.5 * math.erfc(z / math.sqrt(2.0)), 1e-300))
 
 
 def vote_count(results: list[TestResult], alpha: float = 0.05) -> VoteCount:

@@ -137,6 +137,13 @@ def test_summary_small_n(tmp_path):
         rd.load_summary_dataset(write(tmp_path / "s.csv", text))
 
 
+def test_summary_non_integer_count_rejected(tmp_path):
+    text = SUMMARY_HEADER + "E1,5,5,1,1,2,1,0.5,within\nE2,2.7,5,1,1,2,1,0.5,within\n"
+    path = write(tmp_path / "s.csv", text)
+    with pytest.raises(rd.DataError, match=r"s\.csv:3: n_control must be an integer, got '2\.7'$"):
+        rd.load_summary_dataset(path)
+
+
 def test_summary_between_without_corr(tmp_path):
     text = SUMMARY_HEADER + "E1,5,6,1,1,2,1,,between\n"
     row = rd.load_summary_dataset(write(tmp_path / "s.csv", text))[0]
@@ -193,6 +200,12 @@ def test_load_covariates_ok(tmp_path):
 def test_covariate_range_error(tmp_path):
     text = COV_HEADER + "E1,p1,professional,5,2,2,1\n"
     with pytest.raises(rd.DataError, match="1..4"):
+        rd.load_covariates(write(tmp_path / "c.csv", text), make_dataset())
+
+
+def test_covariate_non_integer_rejected(tmp_path):
+    text = COV_HEADER + "E1,p1,professional,2.5,2,2,1\n"
+    with pytest.raises(rd.DataError, match=r"c\.csv:2: programming must be an integer"):
         rd.load_covariates(write(tmp_path / "c.csv", text), make_dataset())
 
 

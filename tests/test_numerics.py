@@ -346,3 +346,27 @@ def test_distributions_against_scipy():
         assert nm.t_quantile(p, df) == pytest.approx(scipy_stats.t.ppf(p, df), abs=1e-8)
     for x, df in ((0.3, 1), (5.0, 4), (47.13, 8), (120.0, 60)):
         assert nm.chisq_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df), rel=1e-9, abs=1e-12)
+
+
+def test_t_quantile_against_scipy_grid():
+    # log-spaced in df and in the smaller tail q, both tails; the incomplete
+    # beta itself is good to about 3e-9 beyond df = 1e4
+    for df in [1.0, *np.logspace(np.log10(0.5), 6, 25)]:
+        rtol = 1e-10 if df <= 1e4 else 1e-8
+        for q in np.logspace(-12, np.log10(0.45), 25):
+            for p in (q, 1.0 - q):
+                expected = scipy_stats.t.ppf(p, df)
+                assert nm.t_quantile(p, df) == pytest.approx(expected, rel=rtol, abs=0), (p, df)
+
+
+def test_t_quantile_df2_closed_form():
+    # F^-1(p; 2) = (2p - 1) / sqrt(2 p (1 - p)), also far beyond p = 1e-12
+    for p in (1e-300, 1e-100, 1e-12, 0.3, 0.5 + 1e-9, 0.9, 1.0 - 1e-12):
+        expected = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert nm.t_quantile(p, 2) == pytest.approx(expected, rel=1e-12)
+
+
+def test_t_cdf_keeps_digits_near_zero():
+    # F(x; 2) - 1/2 = x / (2 sqrt(2 + x^2)), which 1 - tail would round to 0
+    for x in (1e-9, -3e-12):
+        assert nm.t_cdf(x, 2) - 0.5 == pytest.approx(x / (2.0 * math.sqrt(2.0 + x * x)), rel=1e-6)
