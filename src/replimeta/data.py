@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "CONTROL",
@@ -208,9 +208,6 @@ class CovariateTable:
     def for_experiment(self, experiment_id: str) -> list[CovariateRow]:
         return [r for r in self.rows if r.experiment_id == experiment_id]
 
-    def lookup(self) -> dict[tuple[str, str], CovariateRow]:
-        return {(r.experiment_id, r.participant_id): r for r in self.rows}
-
     def experiment_ids(self) -> list[str]:
         out: list[str] = []
         for r in self.rows:
@@ -244,10 +241,23 @@ class ParseOptions:
             raise DataError(f"no design declared for experiment {experiment_id!r}") from None
 
 
-def _check_header(reader: csv.DictReader, expected: tuple[str, ...], path: Path) -> None:
-    names = tuple(reader.fieldnames or ())
-    if set(names) != set(expected):
-        raise DataError(f"{path}: header {names!r} does not match expected columns {expected!r}")
+def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[str, dict[str, str]]]:
+    """Yield ("file:line", row) for each data row of a CSV file whose header
+    names each expected column exactly once, in any order. Blank lines are
+    skipped; a row with too few or too many fields is rejected."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        names = tuple(next(reader, ()))
+        if len(names) != len(expected) or set(names) != set(expected):
+            raise DataError(f"{path}: header {names!r} does not match expected columns {expected!r}")
+        for cells in reader:
+            if not cells:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(cells) != len(names):
+                raise DataError(f"{where}: malformed row (expected {len(names)} fields, "
+                                f"got {len(cells)})")
+            yield where, dict(zip(names, cells))
 
 
 def _parse_float(cell: str, what: str, where: str) -> float:
@@ -276,39 +286,37 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     path = Path(path)
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
     by_experiment: dict[str, list[Observation]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, RAW_COLUMNS, path)
-        n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if any(row.get(c) is None for c in RAW_COLUMNS):
-                raise DataError(f"{where}: malformed row (wrong number of fields)")
-            exp = row["experiment_id"].strip()
-            pid = row["participant_id"].strip()
-            if not exp or not pid:
-                raise DataError(f"{where}: empty experiment or participant id")
-            if (exp, pid) in options.exclude:
-                continue
-            label = row["treatment"].strip()
-            if label not in label_map:
-                raise DataError(f"{where}: unknown treatment label {label!r} "
-                                f"(expected {options.control_label!r} or {options.treatment_label!r})")
-            cell = row["outcome"].strip()
-            outcome = None if cell == "" else _parse_float(cell, "outcome", where)
-            try:
-                obs = Observation(exp, pid, label_map[label], outcome)
-            except DataError as err:
-                raise DataError(f"{where}: {err}") from None
-            by_experiment.setdefault(exp, []).append(obs)
-            n_rows += 1
+    n_rows = 0
+    for where, row in _read_rows(path, RAW_COLUMNS):
+        exp = row["experiment_id"].strip()
+        pid = row["participant_id"].strip()
+        if not exp or not pid:
+            raise DataError(f"{where}: empty experiment or participant id")
+        if (exp, pid) in options.exclude:
+            continue
+        label = row["treatment"].strip()
+        if label not in label_map:
+            raise DataError(f"{where}: unknown treatment label {label!r} "
+                            f"(expected {options.control_label!r} or {options.treatment_label!r})")
+        cell = row["outcome"].strip()
+        outcome = None if cell == "" else _parse_float(cell, "outcome", where)
+        try:
+            obs = Observation(exp, pid, label_map[label], outcome)
+        except DataError as err:
+            raise DataError(f"{where}: {err}") from None
+        by_experiment.setdefault(exp, []).append(obs)
+        n_rows += 1
     if n_rows == 0:
         raise DataError(f"{path}: no data rows")
-    replications = tuple(
-        Replication(exp, options.design_of(exp), tuple(obs_list))
-        for exp, obs_list in by_experiment.items()
-    )
-    return ReplicationSet(replications, options.outcome_name, options.outcome_unit)
+    # these checks span rows, so only the file can be named
+    try:
+        replications = tuple(
+            Replication(exp, options.design_of(exp), tuple(obs_list))
+            for exp, obs_list in by_experiment.items()
+        )
+        return ReplicationSet(replications, options.outcome_name, options.outcome_unit)
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None
 
 
 def save_raw_dataset(dataset: ReplicationSet, path: str | Path,
@@ -330,24 +338,20 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
     path = Path(path)
     rows: list[SummaryRow] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, SUMMARY_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            exp = row["experiment_id"].strip()
-            if exp in seen:
-                raise DataError(f"{where}: duplicate summary row for {exp!r}")
-            seen.add(exp)
-            corr_cell = row["corr"].strip()
-            corr = None if corr_cell == "" else _parse_float(corr_cell, "corr", where)
-            counts = [_parse_int(row[name], name, where) for name in ("n_control", "n_treatment")]
-            moments = [_parse_float(row[name], name, where)
-                       for name in ("mean_control", "sd_control", "mean_treatment", "sd_treatment")]
-            try:
-                rows.append(SummaryRow(exp, *counts, *moments, corr, row["design"].strip()))
-            except DataError as err:
-                raise DataError(f"{where}: {err}") from None
+    for where, row in _read_rows(path, SUMMARY_COLUMNS):
+        exp = row["experiment_id"].strip()
+        if exp in seen:
+            raise DataError(f"{where}: duplicate summary row for {exp!r}")
+        seen.add(exp)
+        corr_cell = row["corr"].strip()
+        corr = None if corr_cell == "" else _parse_float(corr_cell, "corr", where)
+        counts = [_parse_int(row[name], name, where) for name in ("n_control", "n_treatment")]
+        moments = [_parse_float(row[name], name, where)
+                   for name in ("mean_control", "sd_control", "mean_treatment", "sd_treatment")]
+        try:
+            rows.append(SummaryRow(exp, *counts, *moments, corr, row["design"].strip()))
+        except DataError as err:
+            raise DataError(f"{where}: {err}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
@@ -374,25 +378,21 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
         known = {(o.experiment_id, o.participant_id) for o in dataset.observations()}
     rows: list[CovariateRow] = []
     seen: set[tuple[str, str]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, COVARIATE_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            exp = row["experiment_id"].strip()
-            pid = row["participant_id"].strip()
-            key = (exp, pid)
-            if key in seen:
-                raise DataError(f"{where}: duplicate covariate row for {key}")
-            seen.add(key)
-            if known is not None and key not in known:
-                raise DataError(f"{where}: participant {pid!r} of experiment {exp!r} "
-                                f"is not present in the raw data")
-            values = {name: _parse_int(row[name], name, where) for name in ORDINAL_COVARIATES}
-            try:
-                rows.append(CovariateRow(exp, pid, row["subject_type"].strip(), values))
-            except DataError as err:
-                raise DataError(f"{where}: {err}") from None
+    for where, row in _read_rows(path, COVARIATE_COLUMNS):
+        exp = row["experiment_id"].strip()
+        pid = row["participant_id"].strip()
+        key = (exp, pid)
+        if key in seen:
+            raise DataError(f"{where}: duplicate covariate row for {key}")
+        seen.add(key)
+        if known is not None and key not in known:
+            raise DataError(f"{where}: participant {pid!r} of experiment {exp!r} "
+                            f"is not present in the raw data")
+        values = {name: _parse_int(row[name], name, where) for name in ORDINAL_COVARIATES}
+        try:
+            rows.append(CovariateRow(exp, pid, row["subject_type"].strip(), values))
+        except DataError as err:
+            raise DataError(f"{where}: {err}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return CovariateTable(tuple(rows))

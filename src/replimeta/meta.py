@@ -31,7 +31,6 @@ __all__ = [
     "meta_regression",
     "pool_fixed",
     "pool_random",
-    "pool_random_dl",
     "subgroup_analysis",
 ]
 
@@ -154,29 +153,26 @@ def pool_fixed(effects: list[EffectSize]) -> MetaResult:
     return _pool(list(effects), 0.0, FIXED)
 
 
+_TAU2_ESTIMATORS = {"dl": (_tau2_dl, RANDOM_DL), "reml": (_tau2_reml, RANDOM_REML)}
+
+
 def pool_random(effects: list[EffectSize], tau2_method: str = "dl") -> MetaResult:
     """Random-effects pooling with the chosen between-study variance estimator
     ("dl" or "reml")."""
     if not effects:
         raise ValueError("cannot pool an empty set of effect sizes")
+    try:
+        estimator, model = _TAU2_ESTIMATORS[tau2_method]
+    except KeyError:
+        raise ValueError(f"unknown tau^2 estimator {tau2_method!r}") from None
     effects = list(effects)
     if len(effects) == 1:
+        # both estimators return tau^2 = 0 for a single study
         warnings.warn("random-effects pool of a single study falls back to the "
                       "fixed-effect result with tau^2 = 0", AnalysisWarning)
-        model = RANDOM_DL if tau2_method == "dl" else RANDOM_REML
-        return _pool(effects, 0.0, model)
     d = np.array([e.d for e in effects])
     v = np.array([e.variance for e in effects])
-    if tau2_method == "dl":
-        return _pool(effects, _tau2_dl(d, v), RANDOM_DL)
-    if tau2_method == "reml":
-        return _pool(effects, _tau2_reml(d, v), RANDOM_REML)
-    raise ValueError(f"unknown tau^2 estimator {tau2_method!r}")
-
-
-def pool_random_dl(effects: list[EffectSize]) -> MetaResult:
-    """DerSimonian-Laird random-effects pooling."""
-    return pool_random(effects, "dl")
+    return _pool(effects, estimator(d, v), model)
 
 
 def heterogeneity_label(i2: float) -> str:

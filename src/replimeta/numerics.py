@@ -1,5 +1,5 @@
-"""Numerical kernel: distribution functions, quantiles, dense linear algebra,
-weighted least squares, and a derivative-free simplex optimizer.
+"""Numerical kernel: distribution functions, quantiles and weighted least
+squares.
 
 Distribution functions are implemented on top of the regularized incomplete
 beta and gamma functions (continued fractions with series fallback), so the
@@ -11,21 +11,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "NotPositiveDefiniteError",
-    "OptimizerResult",
-    "SymmetricMatrix",
     "chisq_sf",
-    "cholesky",
-    "nelder_mead",
     "normal_cdf",
     "normal_quantile",
     "regularized_incomplete_beta",
-    "regularized_lower_gamma",
     "regularized_upper_gamma",
     "t_cdf",
     "t_quantile",
@@ -57,8 +50,8 @@ def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (Wichura's AS 241, PPND16).
 
     Pure rational arithmetic, no table lookups: the same inputs produce the
-    same bits on every platform, which the simulation module relies on for
-    reproducible inverse-CDF sampling.
+    same bits on every platform, so the z critical value behind every
+    confidence interval, and the seed of t_quantile, are reproducible.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires p in (0, 1), got {p!r}")
@@ -193,19 +186,6 @@ def _gamma_cont_frac(s: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise ArithmeticError(f"incomplete gamma continued fraction failed for s={s}, x={x}")
-
-
-def regularized_lower_gamma(s: float, x: float) -> float:
-    """P(s, x), the regularized lower incomplete gamma function."""
-    if s <= 0:
-        raise ValueError(f"shape must be positive, got {s!r}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _gamma_series(s, x)
-    return 1.0 - _gamma_cont_frac(s, x)
 
 
 def regularized_upper_gamma(s: float, x: float) -> float:
@@ -356,81 +336,8 @@ def chisq_sf(x: float, df: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra
+# weighted least squares
 # ---------------------------------------------------------------------------
-
-class NotPositiveDefiniteError(ValueError):
-    """Raised when a Cholesky pivot fails; carries the offending pivot index."""
-
-    def __init__(self, pivot_index: int):
-        self.pivot_index = pivot_index
-        super().__init__(f"matrix is not positive definite (pivot {pivot_index})")
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Symmetric matrix stored as the row-major lower triangle."""
-
-    order: int
-    entries: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        expected = self.order * (self.order + 1) // 2
-        if len(self.entries) != expected:
-            raise ValueError(f"expected {expected} lower-triangle entries, got {len(self.entries)}")
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SymmetricMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
-            raise ValueError("matrix is not symmetric")
-        n = a.shape[0]
-        return cls(n, tuple(a[i, j] for i in range(n) for j in range(i + 1)))
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order))
-        k = 0
-        for i in range(self.order):
-            for j in range(i + 1):
-                a[i, j] = a[j, i] = self.entries[k]
-                k += 1
-        return a
-
-
-def _locate_bad_pivot(a: np.ndarray) -> int:
-    """Run the textbook factorization to report which pivot goes nonpositive."""
-    n = a.shape[0]
-    l = np.zeros_like(a)
-    for j in range(n):
-        s = a[j, j] - np.dot(l[j, :j], l[j, :j])
-        if s <= 0.0 or not math.isfinite(s):
-            return j
-        l[j, j] = math.sqrt(s)
-        if j + 1 < n:
-            l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]) / l[j, j]
-    return n - 1
-
-
-def cholesky(a: np.ndarray | SymmetricMatrix) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == a.
-
-    Raises NotPositiveDefiniteError with the failing pivot index when the
-    input is not positive definite.
-    """
-    if isinstance(a, SymmetricMatrix):
-        a = a.to_dense()
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_locate_bad_pivot(a)) from None
-
 
 def wls_solve(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted least squares: minimize sum(w * (y - X b)**2).
@@ -452,109 +359,10 @@ def wls_solve(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, 
     yw = y * sw
     xtx = xw.T @ xw
     try:
-        l = cholesky(xtx)
-    except NotPositiveDefiniteError:
+        l = np.linalg.cholesky(xtx)
+    except np.linalg.LinAlgError:
         raise ValueError("design matrix is rank deficient after weighting") from None
     beta = np.linalg.solve(l.T, np.linalg.solve(l, xw.T @ yw))
     linv = np.linalg.solve(l, np.eye(l.shape[0]))
     cov = linv.T @ linv
     return beta, cov
-
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead simplex optimizer
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OptimizerResult:
-    argmin: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
-    # best criterion value after each iteration; monotone non-increasing
-    history: list[float] = field(default_factory=list)
-
-
-def nelder_mead(f, x0, tolerance: float = 1e-9, max_iter: int = 2000) -> OptimizerResult:
-    """Minimize f from x0 with the Nelder-Mead simplex method.
-
-    Uses the dimension-adaptive expansion/contraction parameters of Gao & Han
-    for problems with more than two variables. Converges when the spread of
-    criterion values across the simplex falls below `tolerance`; otherwise
-    returns the best point seen with converged=False.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    f0 = float(f(x0))
-    if not math.isfinite(f0):
-        raise ValueError("objective is not finite at the starting point")
-    if n == 0:
-        return OptimizerResult(x0, f0, 0, True, [f0])
-
-    alpha = 1.0
-    gamma = 1.0 + 2.0 / n if n > 2 else 2.0
-    rho = 0.75 - 1.0 / (2.0 * n) if n > 2 else 0.5
-    sigma = 1.0 - 1.0 / n if n > 2 else 0.5
-
-    simplex = [x0]
-    for i in range(n):
-        step = 0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025
-        xi = x0.copy()
-        xi[i] += step
-        simplex.append(xi)
-    values = [f0] + [float(f(p)) for p in simplex[1:]]
-
-    # secondary geometric criterion so a symmetric simplex straddling the
-    # optimum (equal values, nonzero width) cannot stop early
-    xtol = max(math.sqrt(max(tolerance, 0.0)), 1e-12)
-    history: list[float] = []
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        history.append(values[0])
-        spread = values[-1] - values[0]
-        width = max(float(np.max(np.abs(p - simplex[0]))) for p in simplex[1:])
-        if spread == 0.0 or (spread < tolerance
-                             and width <= xtol * max(1.0, float(np.max(np.abs(simplex[0]))))):
-            converged = True
-            break
-        iterations += 1
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + alpha * (centroid - worst)
-        fr = float(f(reflected))
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[0]:
-            expanded = centroid + gamma * (reflected - centroid)
-            fe = float(f(expanded))
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[-1]:
-            contracted = centroid + rho * (reflected - centroid)
-        else:
-            contracted = centroid - rho * (centroid - worst)
-        fc = float(f(contracted))
-        if fc < min(fr, values[-1]):
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        # shrink toward the best vertex
-        best = simplex[0]
-        for i in range(1, n + 1):
-            simplex[i] = best + sigma * (simplex[i] - best)
-            values[i] = float(f(simplex[i]))
-
-    order = np.argsort(values, kind="stable")
-    best_x = simplex[order[0]]
-    best_f = values[order[0]]
-    if history and best_f < history[-1]:
-        history.append(best_f)
-    return OptimizerResult(np.asarray(best_x, dtype=float), float(best_f), iterations, converged, history)

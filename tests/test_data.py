@@ -100,6 +100,37 @@ def test_bad_header(tmp_path):
         rd.load_raw_dataset(write(tmp_path / "raw.csv", "a,b,c,d\n1,2,3,4\n"))
 
 
+def test_repeated_header_column_rejected(tmp_path):
+    text = ("experiment_id,participant_id,treatment,outcome,outcome\n"
+            "E1,p1,control,10,11\nE1,p2,control,12,13\n")
+    with pytest.raises(rd.DataError, match=r"raw\.csv: header"):
+        rd.load_raw_dataset(write(tmp_path / "raw.csv", text))
+
+
+def test_raw_row_with_extra_field_rejected(tmp_path):
+    text = RAW_MINIMAL + "E1,p3,control,5,6\n"
+    with pytest.raises(rd.DataError, match=r"raw\.csv:6: malformed row \(expected 4 fields, got 5\)"):
+        rd.load_raw_dataset(write(tmp_path / "raw.csv", text))
+
+
+def test_row_error_counts_blank_lines(tmp_path):
+    text = RAW_MINIMAL + "\nE1,p3,banana,11\n"
+    with pytest.raises(rd.DataError, match=r"raw\.csv:7: unknown treatment label"):
+        rd.load_raw_dataset(write(tmp_path / "raw.csv", text))
+
+
+@pytest.mark.parametrize("text, message", [
+    (RAW_MINIMAL + "E1,p1,control,11\n", r"duplicate observation for \('E1', 'p1', 'control'\)"),
+    ("experiment_id,participant_id,treatment,outcome\nE1,p1,control,1\nE1,p2,control,\n",
+     "replication 'E1' needs at least 2 participants"),
+    (RAW_MINIMAL + "E2,p1,control,1\nE2,p2,control,2\n", "no design declared for experiment 'E2'"),
+], ids=["duplicate", "one-informative", "no-design"])
+def test_set_level_errors_name_the_file(tmp_path, text, message):
+    opts = rd.ParseOptions(design={"E1": "within"})
+    with pytest.raises(rd.DataError, match=r"raw\.csv: " + message):
+        rd.load_raw_dataset(write(tmp_path / "raw.csv", text), opts)
+
+
 # ---------------------------------------------------------------------------
 # summary CSV
 # ---------------------------------------------------------------------------
@@ -142,6 +173,18 @@ def test_summary_non_integer_count_rejected(tmp_path):
     path = write(tmp_path / "s.csv", text)
     with pytest.raises(rd.DataError, match=r"s\.csv:3: n_control must be an integer, got '2\.7'$"):
         rd.load_summary_dataset(path)
+
+
+def test_summary_short_row_rejected(tmp_path):
+    text = SUMMARY_HEADER + "E1,5,5,1,1,2,1\n"
+    with pytest.raises(rd.DataError, match=r"s\.csv:2: malformed row \(expected 9 fields, got 7\)"):
+        rd.load_summary_dataset(write(tmp_path / "s.csv", text))
+
+
+def test_summary_row_with_extra_field_rejected(tmp_path):
+    text = SUMMARY_HEADER + "E1,5,5,1,1,2,1,0.5,within,extra\n"
+    with pytest.raises(rd.DataError, match=r"s\.csv:2: malformed row \(expected 9 fields, got 10\)"):
+        rd.load_summary_dataset(write(tmp_path / "s.csv", text))
 
 
 def test_summary_between_without_corr(tmp_path):
@@ -206,6 +249,12 @@ def test_covariate_range_error(tmp_path):
 def test_covariate_non_integer_rejected(tmp_path):
     text = COV_HEADER + "E1,p1,professional,2.5,2,2,1\n"
     with pytest.raises(rd.DataError, match=r"c\.csv:2: programming must be an integer"):
+        rd.load_covariates(write(tmp_path / "c.csv", text), make_dataset())
+
+
+def test_covariate_short_row_rejected(tmp_path):
+    text = COV_HEADER + "E1,p1,professional,3,2\n"
+    with pytest.raises(rd.DataError, match=r"c\.csv:2: malformed row \(expected 7 fields, got 5\)"):
         rd.load_covariates(write(tmp_path / "c.csv", text), make_dataset())
 
 

@@ -182,56 +182,6 @@ def test_chisq_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# cholesky
-# ---------------------------------------------------------------------------
-
-def test_cholesky_identity():
-    assert np.allclose(nm.cholesky(np.eye(3)), np.eye(3))
-
-
-def test_cholesky_hand_elimination():
-    l = nm.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    assert np.allclose(l, [[2.0, 0.0], [1.0, 1.4142136]], atol=1e-6)
-
-
-def test_cholesky_indefinite_reports_pivot():
-    with pytest.raises(nm.NotPositiveDefiniteError) as exc:
-        nm.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert exc.value.pivot_index == 1
-
-
-def test_cholesky_first_pivot():
-    with pytest.raises(nm.NotPositiveDefiniteError) as exc:
-        nm.cholesky(np.array([[-1.0, 0.0], [0.0, 1.0]]))
-    assert exc.value.pivot_index == 0
-
-
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
-@settings(max_examples=40)
-def test_cholesky_reconstruction_random_pd(order, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((order, order))
-    a = m.T @ m + 1e-3 * np.eye(order)
-    l = nm.cholesky(a)
-    assert np.allclose(np.tril(l), l)
-    rel = np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
-    assert rel <= 1e-10
-
-
-def test_symmetric_matrix_round_trip():
-    a = np.array([[4.0, 2.0, 1.0], [2.0, 5.0, 0.5], [1.0, 0.5, 3.0]])
-    sym = nm.SymmetricMatrix.from_dense(a)
-    assert sym.order == 3
-    assert np.allclose(sym.to_dense(), a)
-    assert np.allclose(nm.cholesky(sym) @ nm.cholesky(sym).T, a)
-
-
-def test_symmetric_matrix_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        nm.SymmetricMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
 # weighted least squares
 # ---------------------------------------------------------------------------
 
@@ -279,55 +229,6 @@ def test_wls_duplicated_rows_equal_summed_weights(seed):
     w2[2] *= 2.0
     beta_sum, _ = nm.wls_solve(x, y, w2)
     assert np.allclose(beta_dup, beta_sum, atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead
-# ---------------------------------------------------------------------------
-
-def test_nelder_mead_quadratic():
-    res = nm.nelder_mead(lambda v: (v[0] - 3.0) ** 2, np.array([0.0]))
-    assert res.converged
-    assert res.argmin[0] == pytest.approx(3.0, abs=1e-4)
-
-
-def test_nelder_mead_rosenbrock():
-    def rosen(v):
-        return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-
-    res = nm.nelder_mead(rosen, np.array([-1.2, 1.0]), max_iter=5000)
-    assert res.converged
-    assert np.allclose(res.argmin, [1.0, 1.0], atol=1e-3)
-
-
-def test_nelder_mead_constant_function():
-    res = nm.nelder_mead(lambda v: 7.0, np.array([1.0, 2.0]))
-    assert res.converged
-    assert res.value == 7.0
-    assert res.iterations == 0
-
-
-def test_nelder_mead_history_monotone():
-    def rosen(v):
-        return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
-
-    res = nm.nelder_mead(rosen, np.array([-1.2, 1.0]), max_iter=5000)
-    hist = np.array(res.history)
-    assert np.all(np.diff(hist) <= 1e-12)
-
-
-def test_nelder_mead_max_iter_exhausted():
-    def slow(v):
-        return float(np.sum(v * v))
-
-    res = nm.nelder_mead(slow, np.full(6, 50.0), tolerance=0.0, max_iter=3)
-    assert not res.converged
-    assert res.iterations == 3
-
-
-def test_nelder_mead_rejects_nonfinite_start():
-    with pytest.raises(ValueError):
-        nm.nelder_mead(lambda v: float("nan"), np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------
