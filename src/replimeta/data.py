@@ -2,16 +2,23 @@
 
 Raw data travel in a long-format CSV (one row per observation); summary
 statistics and participant covariates have their own documented schemas.
-All structures are immutable after validation and safe to share.
+Each Replication lays its observations out once, on construction, as sorted
+participant ids with aligned control and treatment arrays (NaN where an
+outcome is missing or absent); arms, pairs and lookups all read that layout.
+All structures, the arrays included, are immutable after validation and safe
+to share.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 __all__ = [
     "CONTROL",
@@ -19,6 +26,7 @@ __all__ = [
     "CovariateRow",
     "CovariateTable",
     "DataError",
+    "ORDINAL_COVARIATES",
     "Observation",
     "PairedSample",
     "ParseOptions",
@@ -67,6 +75,15 @@ class Observation:
 
 @dataclass(frozen=True)
 class Replication:
+    """One experiment's observations, laid out once as aligned arm arrays.
+
+    ``participants`` holds the sorted participant ids; ``control`` and
+    ``treatment`` are read-only float64 arrays aligned with it, NaN where an
+    outcome is missing or the participant has no row for that arm. They are
+    attributes, not fields: ``observations`` stays the record of rows, and
+    equality and repr use it.
+    """
+
     experiment_id: str
     design: str  # "within" or "between"
     observations: tuple[Observation, ...]
@@ -74,60 +91,68 @@ class Replication:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise DataError(f"unknown design {self.design!r} for {self.experiment_id}")
-        for obs in self.observations:
-            if obs.experiment_id != self.experiment_id:
-                raise DataError(f"observation for {obs.experiment_id!r} filed under "
+        participants = sorted({o.participant_id for o in self.observations})
+        position = {pid: i for i, pid in enumerate(participants)}
+        arms = {arm: [None] * len(participants) for arm in (CONTROL, TREATMENT)}  # None: no row
+        for o in self.observations:
+            if o.experiment_id != self.experiment_id:
+                raise DataError(f"observation for {o.experiment_id!r} filed under "
                                 f"replication {self.experiment_id!r}")
-        informative = {o.participant_id for o in self.observations if o.outcome is not None}
-        if len(informative) < 2:
+            cells, i = arms[o.treatment], position[o.participant_id]
+            if cells[i] is not None:
+                raise DataError(f"duplicate observation for "
+                                f"{(self.experiment_id, o.participant_id, o.treatment)}")
+            cells[i] = math.nan if o.outcome is None else o.outcome
+        control, treatment = (np.array(arms[arm], dtype=np.float64) for arm in (CONTROL, TREATMENT))
+        if np.count_nonzero(~(np.isnan(control) & np.isnan(treatment))) < 2:
             raise DataError(f"replication {self.experiment_id!r} needs at least 2 "
                             f"participants with a non-missing outcome")
+        control.flags.writeable = treatment.flags.writeable = False
+        self.__dict__.update(participants=tuple(participants), control=control, treatment=treatment)
+
+    def _arm(self, treatment: str) -> np.ndarray:
+        return {CONTROL: self.control, TREATMENT: self.treatment}[treatment]
 
     def participant_ids(self) -> list[str]:
-        return sorted({o.participant_id for o in self.observations})
+        return list(self.participants)
 
     def arm_values(self, treatment: str) -> list[float]:
         """Non-missing outcomes of one arm, ordered by participant id."""
-        rows = [(o.participant_id, o.outcome) for o in self.observations
-                if o.treatment == treatment and o.outcome is not None]
-        return [v for _, v in sorted(rows)]
+        arm = self._arm(treatment)
+        return arm[~np.isnan(arm)].tolist()
 
     def outcome_of(self, participant_id: str, treatment: str) -> float | None:
-        for o in self.observations:
-            if o.participant_id == participant_id and o.treatment == treatment:
-                return o.outcome
-        return None
+        i = bisect.bisect_left(self.participants, participant_id)
+        found = i < len(self.participants) and self.participants[i] == participant_id
+        value = float(self._arm(treatment)[i]) if found else math.nan
+        return None if math.isnan(value) else value
+
+    def paired_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Control and treatment outcomes of the participants with both,
+        aligned and ordered by participant id."""
+        both = ~(np.isnan(self.control) | np.isnan(self.treatment))
+        return self.control[both], self.treatment[both]
 
 
 @dataclass(frozen=True)
 class ReplicationSet:
     replications: tuple[Replication, ...]
     outcome_name: str = "outcome"
-    outcome_unit: str = ""
 
     def __post_init__(self):
         if not self.replications:
             raise DataError("a replication set needs at least one replication")
-        seen: set[tuple[str, str, str]] = set()
+        index: dict[str, Replication] = {}
         for rep in self.replications:
-            for o in rep.observations:
-                key = (o.experiment_id, o.participant_id, o.treatment)
-                if key in seen:
-                    raise DataError(f"duplicate observation for {key}")
-                seen.add(key)
+            if index.setdefault(rep.experiment_id, rep) is not rep:
+                raise DataError(f"duplicate replication {rep.experiment_id!r}")
+        self.__dict__["_index"] = index
 
     def experiment_ids(self) -> list[str]:
         return [r.experiment_id for r in self.replications]
 
     def replication(self, experiment_id: str) -> Replication:
-        for r in self.replications:
-            if r.experiment_id == experiment_id:
-                return r
-        raise KeyError(experiment_id)
-
-    def observations(self) -> Iterable[Observation]:
-        for r in self.replications:
-            yield from r.observations
+        return self._index[experiment_id]
 
 
 @dataclass(frozen=True)
@@ -205,16 +230,6 @@ class CovariateRow:
 class CovariateTable:
     rows: tuple[CovariateRow, ...]
 
-    def for_experiment(self, experiment_id: str) -> list[CovariateRow]:
-        return [r for r in self.rows if r.experiment_id == experiment_id]
-
-    def experiment_ids(self) -> list[str]:
-        out: list[str] = []
-        for r in self.rows:
-            if r.experiment_id not in out:
-                out.append(r.experiment_id)
-        return out
-
 
 @dataclass(frozen=True)
 class ParseOptions:
@@ -229,7 +244,6 @@ class ParseOptions:
     treatment_label: str = TREATMENT
     design: str | Mapping[str, str] = "within"
     outcome_name: str = "outcome"
-    outcome_unit: str = ""
     exclude: frozenset[tuple[str, str]] = frozenset()
 
     def design_of(self, experiment_id: str) -> str:
@@ -286,7 +300,6 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     path = Path(path)
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
     by_experiment: dict[str, list[Observation]] = {}
-    n_rows = 0
     for where, row in _read_rows(path, RAW_COLUMNS):
         exp = row["experiment_id"].strip()
         pid = row["participant_id"].strip()
@@ -305,16 +318,13 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
         except DataError as err:
             raise DataError(f"{where}: {err}") from None
         by_experiment.setdefault(exp, []).append(obs)
-        n_rows += 1
-    if n_rows == 0:
+    if not by_experiment:
         raise DataError(f"{path}: no data rows")
     # these checks span rows, so only the file can be named
     try:
-        replications = tuple(
-            Replication(exp, options.design_of(exp), tuple(obs_list))
-            for exp, obs_list in by_experiment.items()
-        )
-        return ReplicationSet(replications, options.outcome_name, options.outcome_unit)
+        replications = tuple(Replication(exp, options.design_of(exp), tuple(obs_list))
+                             for exp, obs_list in by_experiment.items())
+        return ReplicationSet(replications, options.outcome_name)
     except DataError as err:
         raise DataError(f"{path}: {err}") from None
 
@@ -328,9 +338,9 @@ def save_raw_dataset(dataset: ReplicationSet, path: str | Path,
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RAW_COLUMNS)
-        for obs in dataset.observations():
-            cell = "" if obs.outcome is None else repr(obs.outcome)
-            writer.writerow([obs.experiment_id, obs.participant_id, labels[obs.treatment], cell])
+        writer.writerows([o.experiment_id, o.participant_id, labels[o.treatment],
+                          "" if o.outcome is None else repr(o.outcome)]
+                         for rep in dataset.replications for o in rep.observations)
 
 
 def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
@@ -375,7 +385,7 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     path = Path(path)
     known: set[tuple[str, str]] | None = None
     if dataset is not None:
-        known = {(o.experiment_id, o.participant_id) for o in dataset.observations()}
+        known = {(r.experiment_id, pid) for r in dataset.replications for pid in r.participants}
     rows: list[CovariateRow] = []
     seen: set[tuple[str, str]] = set()
     for where, row in _read_rows(path, COVARIATE_COLUMNS):
@@ -408,23 +418,5 @@ def complete_pairs(replication: Replication) -> PairedSample:
     if replication.design != "within":
         raise DataError(f"{replication.experiment_id}: complete pairs require a "
                         f"within-subjects design")
-    control, treatment = paired_arm_values(replication)
-    diffs = [t - c for c, t in zip(control, treatment)]
-    if len(diffs) < 2:
-        raise DataError(f"{replication.experiment_id}: fewer than 2 complete pairs")
-    return PairedSample(replication.experiment_id, tuple(diffs))
-
-
-def paired_arm_values(replication: Replication) -> tuple[list[float], list[float]]:
-    """Control and treatment outcomes restricted to complete pairs, aligned
-    by participant and sorted by participant id."""
-    per_pid: dict[str, dict[str, float]] = {}
-    for o in replication.observations:
-        if o.outcome is not None:
-            per_pid.setdefault(o.participant_id, {})[o.treatment] = o.outcome
-    control, treatment = [], []
-    for pid, vals in sorted(per_pid.items()):
-        if CONTROL in vals and TREATMENT in vals:
-            control.append(vals[CONTROL])
-            treatment.append(vals[TREATMENT])
-    return control, treatment
+    control, treatment = replication.paired_values()
+    return PairedSample(replication.experiment_id, tuple((treatment - control).tolist()))

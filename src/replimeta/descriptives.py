@@ -4,9 +4,10 @@ plus the data series behind profile plots."""
 from __future__ import annotations
 
 import math
-import statistics
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data import (
     CONTROL,
@@ -16,7 +17,6 @@ from .data import (
     Replication,
     ReplicationSet,
     SummaryRow,
-    paired_arm_values,
 )
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "pearson_corr",
     "profile_series_covariates",
     "profile_series_outcomes",
+    "sample_mean",
+    "sample_variance",
     "summarize_covariates",
     "summarize_replication",
 ]
@@ -35,24 +37,30 @@ class AnalysisWarning(UserWarning):
     """Non-fatal analysis conditions (degenerate inputs, fallbacks)."""
 
 
-def sample_sd(values: list[float]) -> float:
-    """Sample standard deviation (n-1 denominator); 0.0 for a single value."""
-    if len(values) < 2:
-        return 0.0
-    return statistics.stdev(values)
+def sample_mean(values) -> float:
+    """Mean from the correctly rounded sum: the same bits on every platform."""
+    return math.fsum(values) / len(values)
 
 
-def pearson_corr(x: list[float], y: list[float]) -> float | None:
-    """Pearson correlation; None for fewer than 2 points or a zero-variance input."""
-    if len(x) != len(y) or len(x) < 2:
+def sample_variance(values) -> float:
+    """Sample variance (n-1 denominator); exactly 0.0 when all values are equal."""
+    return 0.0 if np.ptp(values) == 0 else float(np.var(values, ddof=1))
+
+
+def _median(values: np.ndarray) -> float:
+    # np.median would import numpy.ma, about 1 MiB of resident memory
+    s, h = np.sort(values), values.size // 2
+    return float(s[h]) if values.size % 2 else float((s[h - 1] + s[h]) / 2.0)
+
+
+def pearson_corr(x, y) -> float | None:
+    """Pearson correlation; None for fewer than 2 points or a constant input."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
         return None
-    mx, my = statistics.fmean(x), statistics.fmean(y)
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
-    if sxx <= 0.0 or syy <= 0.0:
-        return None
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    dx, dy = x - x.mean(), y - y.mean()
+    r = float(dx @ dy) / math.sqrt(dx @ dx) / math.sqrt(dy @ dy)
+    return max(-1.0, min(1.0, r))
 
 
 def summarize_replication(replication: Replication) -> SummaryRow:
@@ -64,32 +72,32 @@ def summarize_replication(replication: Replication) -> SummaryRow:
     arm is constant, or fewer than 2 complete pairs exist, the correlation is
     undefined and reported as missing.
     """
-    control = replication.arm_values(CONTROL)
-    treatment = replication.arm_values(TREATMENT)
-    if len(control) < 2 or len(treatment) < 2:
+    control, treatment = (arm[~np.isnan(arm)]
+                          for arm in (replication.control, replication.treatment))
+    if control.size < 2 or treatment.size < 2:
         raise ValueError(f"{replication.experiment_id}: need at least 2 non-missing "
                          f"outcomes per arm")
     corr = None
     if replication.design == "within":
-        paired_c, paired_t = paired_arm_values(replication)
+        paired_c, paired_t = replication.paired_values()
         corr = pearson_corr(paired_c, paired_t)
         if corr is None:
-            reason = ("fewer than 2 complete pairs" if len(paired_c) < 2
+            reason = ("fewer than 2 complete pairs" if paired_c.size < 2
                       else "constant paired arm")
             warnings.warn(f"{replication.experiment_id}: paired correlation undefined "
                           f"({reason}); reported as missing", AnalysisWarning)
     return SummaryRow(
         experiment_id=replication.experiment_id,
-        n_control=len(control),
-        n_treatment=len(treatment),
-        mean_control=statistics.fmean(control),
-        sd_control=sample_sd(control),
-        mean_treatment=statistics.fmean(treatment),
-        sd_treatment=sample_sd(treatment),
+        n_control=control.size,
+        n_treatment=treatment.size,
+        mean_control=sample_mean(control),
+        sd_control=math.sqrt(sample_variance(control)),
+        mean_treatment=sample_mean(treatment),
+        sd_treatment=math.sqrt(sample_variance(treatment)),
         corr=corr,
         design=replication.design,
-        median_control=statistics.median(control),
-        median_treatment=statistics.median(treatment),
+        median_control=_median(control),
+        median_treatment=_median(treatment),
     )
 
 
@@ -106,18 +114,20 @@ class CovariateSummary:
 
 
 def summarize_covariates(covariates: CovariateTable) -> list[CovariateSummary]:
-    """Mean (sd) of each ordinal covariate per experiment."""
+    """Mean (sd) of each ordinal covariate per experiment, in order of first
+    appearance."""
     if not covariates.rows:
         raise ValueError("covariate table is empty")
+    groups: dict[str, list[list[int]]] = {}
+    for r in covariates.rows:
+        groups.setdefault(r.experiment_id, []).append([r.values[n] for n in ORDINAL_COVARIATES])
     summaries = []
-    for exp in covariates.experiment_ids():
-        rows = covariates.for_experiment(exp)
+    for exp, rows in groups.items():
         if len(rows) < 2:
             warnings.warn(f"{exp}: single covariate row; sd reported as 0", AnalysisWarning)
-        stats = {}
-        for name in ORDINAL_COVARIATES:
-            values = [float(r.values[name]) for r in rows]
-            stats[name] = (statistics.fmean(values), sample_sd(values))
+        ordinals = np.array(rows, dtype=np.float64)  # (participants, covariates)
+        stats = {name: (sample_mean(col), math.sqrt(sample_variance(col)))
+                 for name, col in zip(ORDINAL_COVARIATES, ordinals.T)}
         summaries.append(CovariateSummary(exp, stats))
     return summaries
 
@@ -137,18 +147,12 @@ class ProfileSeries:
 
 
 def profile_series_covariates(covariates: CovariateTable) -> ProfileSeries:
-    summaries = summarize_covariates(covariates)
-    rows = tuple(
-        (s.experiment_id, tuple(s.mean(name) for name in ORDINAL_COVARIATES))
-        for s in summaries
-    )
+    rows = tuple((s.experiment_id, tuple(s.mean(name) for name in ORDINAL_COVARIATES))
+                 for s in summarize_covariates(covariates))
     return ProfileSeries("mean experience", ORDINAL_COVARIATES, rows)
 
 
-def profile_series_outcomes(dataset: ReplicationSet,
-                            arm_labels: tuple[str, str] = (CONTROL, TREATMENT)) -> ProfileSeries:
-    rows = []
-    for rep in dataset.replications:
-        summary = summarize_replication(rep)
-        rows.append((rep.experiment_id, (summary.mean_control, summary.mean_treatment)))
-    return ProfileSeries(f"mean {dataset.outcome_name}", arm_labels, tuple(rows))
+def profile_series_outcomes(dataset: ReplicationSet) -> ProfileSeries:
+    summaries = [summarize_replication(rep) for rep in dataset.replications]
+    rows = tuple((s.experiment_id, (s.mean_control, s.mean_treatment)) for s in summaries)
+    return ProfileSeries(f"mean {dataset.outcome_name}", (CONTROL, TREATMENT), rows)

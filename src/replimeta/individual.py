@@ -4,10 +4,10 @@ within-subjects designs, independent (Welch or pooled) t-tests otherwise."""
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 from .data import PairedSample
+from .descriptives import sample_mean, sample_variance
 from .numerics import t_quantile, t_sf
 
 __all__ = ["TestResult", "independent_t_test", "paired_t_test", "TWO_SIDED", "ONE_SIDED_GREATER"]
@@ -55,13 +55,13 @@ def paired_t_test(sample: PairedSample, sidedness: str = TWO_SIDED,
     The one-sided variant tests treatment > control. The confidence interval
     is the central 1-alpha interval regardless of sidedness.
     """
-    diffs = list(sample.differences)
-    n = len(diffs)
-    sd = statistics.stdev(diffs)
-    if sd <= 0.0:
+    diffs = sample.differences
+    var = sample_variance(diffs)
+    if var == 0.0:
         raise ValueError(f"{sample.experiment_id}: differences have zero variance")
-    return _result(sample.experiment_id, statistics.fmean(diffs), sd / math.sqrt(n),
-                   n - 1, sidedness, alpha, n)
+    n = len(diffs)
+    return _result(sample.experiment_id, sample_mean(diffs), math.sqrt(var / n), n - 1,
+                   sidedness, alpha, n)
 
 
 def independent_t_test(control: list[float], treatment: list[float],
@@ -75,11 +75,10 @@ def independent_t_test(control: list[float], treatment: list[float],
     n_c, n_t = len(control), len(treatment)
     if n_c < 2 or n_t < 2:
         raise ValueError("each arm needs at least 2 observations")
-    var_c = statistics.variance(control)
-    var_t = statistics.variance(treatment)
-    if var_c <= 0.0 and var_t <= 0.0:
+    var_c, var_t = sample_variance(control), sample_variance(treatment)
+    if var_c == 0.0 and var_t == 0.0:
         raise ValueError("both arms have zero variance")
-    estimate = statistics.fmean(treatment) - statistics.fmean(control)
+    estimate = sample_mean(treatment) - sample_mean(control)
     if welch:
         a, b = var_c / n_c, var_t / n_t
         se = math.sqrt(a + b)

@@ -307,3 +307,48 @@ def test_complete_pairs_bounded_by_arm_counts():
     rep = make_dataset().replication("E1")
     pairs = rd.complete_pairs(rep)
     assert pairs.n_pairs <= min(len(rep.arm_values(rd.CONTROL)), len(rep.arm_values(rd.TREATMENT)))
+
+
+# ---------------------------------------------------------------------------
+# the aligned arm layout
+# ---------------------------------------------------------------------------
+
+def test_layout_aligns_arms_with_missing_and_absent_as_nan():
+    obs = (
+        rd.Observation("E1", "p2", rd.TREATMENT, 4.0),
+        rd.Observation("E1", "p1", rd.CONTROL, 1.0),
+        rd.Observation("E1", "p1", rd.TREATMENT, None),
+        rd.Observation("E1", "p3", rd.CONTROL, 3.0),
+    )
+    rep = rd.Replication("E1", "within", obs)
+    assert rep.participants == ("p1", "p2", "p3")
+    assert [None if math.isnan(v) else v for v in rep.control] == [1.0, None, 3.0]
+    assert [None if math.isnan(v) else v for v in rep.treatment] == [None, 4.0, None]
+    assert rep.outcome_of("p2", rd.CONTROL) is None
+    assert rep.outcome_of("p9", rd.CONTROL) is None
+    assert rep.observations == obs
+
+
+def test_layout_arrays_are_read_only():
+    rep = make_dataset().replication("E1")
+    for arm in (rep.control, rep.treatment):
+        with pytest.raises(ValueError, match="read-only"):
+            arm[0] = 0.0
+
+
+def test_replication_rejects_duplicate_participant_arm():
+    obs = (
+        rd.Observation("E1", "p1", rd.CONTROL, 1.0),
+        rd.Observation("E1", "p1", rd.TREATMENT, 2.0),
+        rd.Observation("E1", "p2", rd.CONTROL, 3.0),
+        rd.Observation("E1", "p2", rd.TREATMENT, 4.0),
+        rd.Observation("E1", "p1", rd.CONTROL, 9.0),
+    )
+    with pytest.raises(rd.DataError, match=r"duplicate observation for \('E1', 'p1', 'control'\)"):
+        rd.Replication("E1", "within", obs)
+
+
+def test_replication_set_rejects_repeated_experiment_id():
+    rep = make_dataset().replication("E1")
+    with pytest.raises(rd.DataError, match="duplicate replication 'E1'"):
+        rd.ReplicationSet((rep, rd.Replication("E1", "between", rep.observations)))
