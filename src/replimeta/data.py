@@ -137,7 +137,6 @@ class Replication:
 @dataclass(frozen=True)
 class ReplicationSet:
     replications: tuple[Replication, ...]
-    outcome_name: str = "outcome"
 
     def __post_init__(self):
         if not self.replications:
@@ -243,7 +242,6 @@ class ParseOptions:
     control_label: str = CONTROL
     treatment_label: str = TREATMENT
     design: str | Mapping[str, str] = "within"
-    outcome_name: str = "outcome"
     exclude: frozenset[tuple[str, str]] = frozenset()
 
     def design_of(self, experiment_id: str) -> str:
@@ -324,7 +322,7 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     try:
         replications = tuple(Replication(exp, options.design_of(exp), tuple(obs_list))
                              for exp, obs_list in by_experiment.items())
-        return ReplicationSet(replications, options.outcome_name)
+        return ReplicationSet(replications)
     except DataError as err:
         raise DataError(f"{path}: {err}") from None
 

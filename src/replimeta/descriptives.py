@@ -155,4 +155,4 @@ def profile_series_covariates(covariates: CovariateTable) -> ProfileSeries:
 def profile_series_outcomes(dataset: ReplicationSet) -> ProfileSeries:
     summaries = [summarize_replication(rep) for rep in dataset.replications]
     rows = tuple((s.experiment_id, (s.mean_control, s.mean_treatment)) for s in summaries)
-    return ProfileSeries(f"mean {dataset.outcome_name}", (CONTROL, TREATMENT), rows)
+    return ProfileSeries("mean outcome", (CONTROL, TREATMENT), rows)

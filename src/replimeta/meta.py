@@ -3,10 +3,11 @@ heterogeneity statistics, subgroup analysis, meta-regression, and the
 forest-plot data model.
 
 The random-effects default is the DerSimonian-Laird moment estimator of the
-between-study variance. A restricted-maximum-likelihood estimator is also
-available and is the default inside subgroup pools, where the moment
-estimator is known to understate heterogeneity for very small groups.
-Confidence intervals and p-values are z-based throughout.
+between-study variance. The restricted-maximum-likelihood (REML) estimator,
+found as the bracketed root of its score, is also available and is the one
+subgroup pools use, where the moment estimator is known to understate
+heterogeneity for very small groups. Confidence intervals and p-values are
+z-based throughout.
 """
 
 from __future__ import annotations
@@ -65,15 +66,11 @@ def _z_p(z: float) -> float:
     return min(1.0, max(math.erfc(abs(z) / math.sqrt(2.0)), 1e-300))
 
 
-def _heterogeneity(d: np.ndarray, v: np.ndarray) -> tuple[float, int, float, float]:
-    """Cochran's Q with df, its p-value, and I^2 (%) from fixed weights."""
+def _cochran_q(d: np.ndarray, v: np.ndarray) -> float:
+    """Cochran's Q from fixed (inverse-variance) weights."""
     w = 1.0 / v
     mu = float(np.sum(w * d) / np.sum(w))
-    q = float(np.sum(w * (d - mu) ** 2))
-    df = len(d) - 1
-    q_p = chisq_sf(q, df) if df > 0 else 1.0
-    i2 = max(0.0, (q - df) / q * 100.0) if df > 0 and q > 0 else 0.0
-    return q, df, q_p, i2
+    return float(np.sum(w * (d - mu) ** 2))
 
 
 def _tau2_dl(d: np.ndarray, v: np.ndarray) -> float:
@@ -81,18 +78,29 @@ def _tau2_dl(d: np.ndarray, v: np.ndarray) -> float:
     if len(d) < 2:
         return 0.0
     w = 1.0 / v
-    q, df, _, _ = _heterogeneity(d, v)
     c = float(np.sum(w) - np.sum(w * w) / np.sum(w))
     if c <= 0.0:
         return 0.0
-    return max(0.0, (q - df) / c)
+    return max(0.0, (_cochran_q(d, v) - (len(d) - 1)) / c)
 
 
 def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
-    """Restricted-maximum-likelihood estimator via golden-section search on
-    the 1-d profiled criterion."""
+    """REML tau^2 (Viechtbauer 2005): the root of the score y'PPy - tr(P) =
+    sum((w (d - mu))^2) - sum(w) + sum(w^2) / sum(w), w = 1 / (v + tau^2).
+
+    Halving down from top = max(10 var d, 10 max v, 1) to the first positive
+    score keeps an interior maximum even where the likelihood also peaks at 0.
+    Bisection then fixes the root to 1e-12 top by signs alone, so a last-bit
+    change in the data does not move it. Returns 0 when no score above
+    1e-12 top is positive, or when the criterion at 0 is no worse."""
     if len(d) < 2:
         return 0.0
+
+    def score(tau2: float) -> float:
+        w = 1.0 / (v + tau2)
+        sw = float(w.sum())
+        r = w * (d - float(w @ d) / sw)
+        return float(r @ r - sw + (w @ w) / sw)
 
     def crit(tau2: float) -> float:
         w = 1.0 / (v + tau2)
@@ -100,35 +108,36 @@ def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(np.log(v + tau2)) + math.log(np.sum(w))
                      + np.sum(w * (d - mu) ** 2))
 
-    hi = max(10.0 * float(np.var(d, ddof=1)), 10.0 * float(np.max(v)), 1.0)
-    lo = 0.0
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - inv_phi * (b - a)
-    c2 = a + inv_phi * (b - a)
-    f1, f2 = crit(c1), crit(c2)
-    for _ in range(200):
-        if b - a < 1e-12 * max(1.0, b):
-            break
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - inv_phi * (b - a)
-            f1 = crit(c1)
+    top = max(10.0 * float(np.var(d, ddof=1)), 10.0 * float(np.max(v)), 1.0)
+    width = 1e-12 * top
+    lo = hi = top
+    while score(lo) <= 0.0:
+        hi, lo = lo, 0.5 * lo
+        if lo <= width:
+            return 0.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if score(mid) > 0.0:
+            lo = mid
         else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + inv_phi * (b - a)
-            f2 = crit(c2)
-    tau2 = 0.5 * (a + b)
-    # the criterion can be monotone increasing; prefer the boundary then
-    if crit(0.0) <= crit(tau2):
-        return 0.0
-    return tau2
+            hi = mid
+    tau2 = 0.5 * (lo + hi)
+    return 0.0 if crit(0.0) <= crit(tau2) else tau2
 
 
-def _pool(effects: list[EffectSize], tau2: float, model: str) -> MetaResult:
-    d = np.array([e.d for e in effects])
-    v = np.array([e.variance for e in effects])
-    q, q_df, q_p, i2 = _heterogeneity(d, v)
+def _arrays(effects: list[EffectSize]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """d, sampling variances and experiment ids, in input order."""
+    if not effects:
+        raise ValueError("cannot pool an empty set of effect sizes")
+    return (np.array([e.d for e in effects]), np.array([e.variance for e in effects]),
+            [e.experiment_id for e in effects])
+
+
+def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], tau2: float, model: str) -> MetaResult:
+    q = _cochran_q(d, v)
+    q_df = len(d) - 1
+    q_p = chisq_sf(q, q_df) if q_df > 0 else 1.0
+    i2 = max(0.0, (q - q_df) / q * 100.0) if q_df > 0 and q > 0 else 0.0
     w = 1.0 / (v + tau2)
     sw = float(np.sum(w))
     pooled = float(np.sum(w * d) / sw)
@@ -142,15 +151,13 @@ def _pool(effects: list[EffectSize], tau2: float, model: str) -> MetaResult:
         tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2,
         model=model,
         weights=tuple(float(x) for x in w / sw),
-        labels=tuple(e.experiment_id for e in effects),
+        labels=tuple(labels),
     )
 
 
 def pool_fixed(effects: list[EffectSize]) -> MetaResult:
     """Inverse-variance fixed-effect pooling."""
-    if not effects:
-        raise ValueError("cannot pool an empty set of effect sizes")
-    return _pool(list(effects), 0.0, FIXED)
+    return _pool(*_arrays(list(effects)), 0.0, FIXED)
 
 
 _TAU2_ESTIMATORS = {"dl": (_tau2_dl, RANDOM_DL), "reml": (_tau2_reml, RANDOM_REML)}
@@ -159,20 +166,16 @@ _TAU2_ESTIMATORS = {"dl": (_tau2_dl, RANDOM_DL), "reml": (_tau2_reml, RANDOM_REM
 def pool_random(effects: list[EffectSize], tau2_method: str = "dl") -> MetaResult:
     """Random-effects pooling with the chosen between-study variance estimator
     ("dl" or "reml")."""
-    if not effects:
-        raise ValueError("cannot pool an empty set of effect sizes")
+    d, v, ids = _arrays(list(effects))
     try:
         estimator, model = _TAU2_ESTIMATORS[tau2_method]
     except KeyError:
         raise ValueError(f"unknown tau^2 estimator {tau2_method!r}") from None
-    effects = list(effects)
-    if len(effects) == 1:
+    if len(d) == 1:
         # both estimators return tau^2 = 0 for a single study
         warnings.warn("random-effects pool of a single study falls back to the "
                       "fixed-effect result with tau^2 = 0", AnalysisWarning)
-    d = np.array([e.d for e in effects])
-    v = np.array([e.variance for e in effects])
-    return _pool(effects, estimator(d, v), model)
+    return _pool(d, v, ids, estimator(d, v), model)
 
 
 def heterogeneity_label(i2: float) -> str:
@@ -195,37 +198,33 @@ class SubgroupResult:
     difference_p: float | None
 
 
-def subgroup_analysis(effects: list[EffectSize], tau2_method: str = "reml") -> SubgroupResult:
-    """Random-effects pool per subgroup label with a separate tau^2 per group.
+def subgroup_analysis(effects: list[EffectSize]) -> SubgroupResult:
+    """REML random-effects pool per subgroup label, a separate tau^2 per group.
 
     With exactly two groups, also reports their difference tested as
     z = delta / sqrt(se_a^2 + se_b^2). Singleton groups pool with tau^2 = 0
     and I^2 = 0.
     """
-    if not effects:
-        raise ValueError("cannot pool an empty set of effect sizes")
-    order: list[str] = []
-    grouped: dict[str, list[EffectSize]] = {}
-    for e in effects:
+    effects = list(effects)
+    d, v, ids = _arrays(effects)
+    members: dict[str, list[int]] = {}
+    for i, e in enumerate(effects):
         if e.subgroup_label is None:
             raise ValueError(f"{e.experiment_id}: missing subgroup label")
-        if e.subgroup_label not in grouped:
-            order.append(e.subgroup_label)
-        grouped.setdefault(e.subgroup_label, []).append(e)
+        members.setdefault(e.subgroup_label, []).append(i)
     results = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AnalysisWarning)  # singleton groups are expected here
-        for label in order:
-            results[label] = pool_random(grouped[label], tau2_method)
+    for label, idx in members.items():
+        gd, gv = d[idx], v[idx]
+        results[label] = _pool(gd, gv, [ids[i] for i in idx], _tau2_reml(gd, gv), RANDOM_REML)
     difference = ci = p = None
-    if len(order) == 2:
-        a, b = results[order[0]], results[order[1]]
+    if len(results) == 2:
+        a, b = results.values()
         difference = b.pooled - a.pooled
         se = math.hypot(a.se, b.se)
         z975 = normal_quantile(0.975)
         ci = (difference - z975 * se, difference + z975 * se)
         p = _z_p(difference / se)
-    return SubgroupResult(results, tuple(order), difference, ci, p)
+    return SubgroupResult(results, tuple(results), difference, ci, p)
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,7 @@ def meta_regression(effects: list[EffectSize]) -> MetaRegressionResult:
         raise ValueError("meta-regression needs at least 3 effect sizes")
     if any(e.moderator_x is None for e in effects):
         raise ValueError("every effect size needs a moderator value")
-    d = np.array([e.d for e in effects])
-    v = np.array([e.variance for e in effects])
+    d, v, _ = _arrays(effects)
     x = np.array([e.moderator_x for e in effects])
     if float(np.ptp(x)) == 0.0:
         raise ValueError("moderator is constant across studies")
@@ -299,7 +297,7 @@ class ForestPlotModel:
 def forest_model(effects: list[EffectSize], meta: MetaResult) -> ForestPlotModel:
     """Per-study rows (z-based CIs) plus the pooled diamond and heterogeneity
     caption; weight percentages come from the MetaResult."""
-    if len(effects) != len(meta.weights):
+    if meta.labels != tuple(e.experiment_id for e in effects):
         raise ValueError("effects and meta-analysis weights do not match")
     z975 = normal_quantile(0.975)
     rows = tuple(

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from replimeta.descriptives import AnalysisWarning
 from replimeta.effects import EffectSize
 from replimeta.meta import (forest_model, meta_regression, pool_fixed, pool_random,
                             subgroup_analysis)
@@ -112,6 +115,102 @@ def test_pool_random_reml_against_scipy(seed):
     assert res.tau2 == pytest.approx(reml_tau2_reference(d, v), rel=1e-6, abs=1e-6)
 
 
+def reml_case(seed):
+    """The data sets of test_pool_random_reml_against_scipy."""
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 14
+    return rng.normal(0.5, rng.uniform(0.05, 1.0), size=k), rng.uniform(0.02, 0.4, size=k)
+
+
+def reml_tau2(d, v):
+    return pool_random([effect(f"S{i}", di, vi) for i, (di, vi) in enumerate(zip(d, v))],
+                       "reml").tau2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reml_tau2_does_not_move_with_a_last_bit_change(seed):
+    d, v = reml_case(seed)
+    nudged = d.copy()
+    nudged[0] = np.nextafter(d[0], np.inf)
+    assert reml_tau2(nudged, v) == pytest.approx(reml_tau2(d, v), rel=1e-10, abs=0)
+
+
+def projection_reml_score(tau2, d, v):
+    """Twice the derivative of the restricted log-likelihood in tau^2, written
+    with P = W - W 1 1' W / (1' W 1), W = diag(1 / (v + tau^2)): y'PPy - tr(P)."""
+    w = np.diag(1.0 / (v + tau2))
+    wone = w @ np.ones(len(d))
+    p = w - np.outer(wone, wone) / wone.sum()
+    return d @ p @ p @ d - np.trace(p)
+
+
+@pytest.mark.parametrize("d, v, tau2", [
+    ([-0.2, 0.1, 0.6, 0.8, -0.4, 0.4, 0.0, -0.2, 0.9, 0.4],
+     [0.95, 0.88, 0.86, 1.24, 0.04, 0.18, 0.33, 0.01, 0.5, 0.37], 0.0271218),
+    ([-0.7, -0.5, 0.7, -0.6, 0.5, 0.2, 0.6, 0.3, 0.3, -0.8, -1.0, -0.5],
+     [0.89, 0.76, 0.09, 0.9, 0.65, 0.93, 0.78, 0.87, 0.01, 0.5, 0.89, 0.47], 0.0508109),
+])
+def test_reml_finds_interior_maximum_beside_a_boundary_one(d, v, tau2):
+    d, v = np.array(d), np.array(v)
+    effects = [effect(f"S{i}", di, vi) for i, (di, vi) in enumerate(zip(d, v))]
+    # DL is 0 and the likelihood falls away from 0, so a search started there stays there
+    assert pool_random(effects, "dl").tau2 == 0.0
+    assert projection_reml_score(0.0, d, v) < 0.0
+    root = scipy_optimize.brentq(projection_reml_score, tau2 / 2, 2 * tau2, args=(d, v),
+                                 xtol=1e-15, rtol=1e-15)
+    got = pool_random(effects, "reml").tau2
+    assert got == pytest.approx(root, rel=1e-9, abs=0)
+    assert got == pytest.approx(tau2, rel=1e-5, abs=0)
+
+
+def reml_grid_reference(d, v):
+    """Minimize -2 x the restricted log-likelihood on a 257-point grid over the
+    program's search range, refine between the best point's neighbours with a
+    bounded search, and keep 0 when it is no worse."""
+    def crit(tau2):
+        w = 1.0 / (v + tau2)
+        mu = np.sum(w * d) / np.sum(w)
+        return np.sum(np.log(v + tau2)) + np.log(np.sum(w)) + np.sum(w * (d - mu) ** 2)
+
+    hi = max(10.0 * np.var(d, ddof=1), 10.0 * np.max(v), 1.0)
+    grid = np.linspace(0.0, hi, 257)
+    w = 1.0 / (v + grid[:, None])  # one row per grid point
+    mu = (w @ d) / w.sum(axis=1)
+    values = (np.log(v + grid[:, None]).sum(axis=1) + np.log(w.sum(axis=1))
+              + (w * (d - mu[:, None]) ** 2).sum(axis=1))
+    j = int(np.argmin(values))
+    res = scipy_optimize.minimize_scalar(crit, method="bounded",
+                                         bounds=(grid[max(j - 1, 0)], grid[min(j + 1, 256)]),
+                                         options={"xatol": 1e-14 * hi})
+    best = res.x if res.fun < values[j] else grid[j]
+    return 0.0 if crit(0.0) <= crit(best) else best
+
+
+def test_reml_tau2_agrees_with_grid_search_on_seeded_sweep():
+    rng = np.random.default_rng(2005)
+    misses = []
+    for case in range(2000):
+        k = int(rng.integers(2, 32))
+        d = rng.normal(rng.normal(0.0, 0.5), rng.uniform(0.01, 1.5), size=k)
+        v = rng.uniform(0.005, 1.0, size=k) * rng.choice([0.1, 1.0])
+        if case % 3:  # data as reported, to 1 or 2 decimals
+            places = case % 3
+            d, v = np.round(d, places), np.maximum(np.round(v, places), 10.0 ** -places)
+        got, want = reml_tau2(d, v), reml_grid_reference(d, v)
+        if not math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-6):
+            misses.append((case, got, want))
+    assert misses == []
+
+
+@pytest.mark.parametrize("method", ["dl", "reml"])
+def test_pool_random_of_one_study_is_the_fixed_pool(method):
+    effects = [effect("A", 0.4, 0.05)]
+    with pytest.warns(AnalysisWarning, match="single study"):
+        res = pool_random(effects, method)
+    assert res.tau2 == 0.0
+    assert dataclasses.replace(res, model="fixed") == pool_fixed(effects)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_pool_random_rejects_unknown_estimator(k):
     with pytest.raises(ValueError, match="unknown tau\\^2 estimator 'bogus'"):
@@ -135,6 +234,17 @@ def test_subgroup_difference_from_group_pools():
     assert res.difference_p == pytest.approx(2.0 * scipy_stats.norm.sf(abs(diff) / se), rel=1e-9)
 
 
+def test_subgroup_singleton_group_pools_with_zero_tau2():
+    a = [effect("A1", 0.2, 0.04, group="student"), effect("A2", 0.9, 0.05, group="student")]
+    solo = effect("B1", 1.1, 0.06, group="professional")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = subgroup_analysis([a[0], solo, a[1]])
+    group = res.groups["professional"]
+    assert (group.tau2, group.i2, group.q_df) == (0.0, 0.0, 0)
+    assert dataclasses.replace(group, model="fixed") == pool_fixed([solo])
+
+
 def test_forest_model_rows_and_diamond():
     effects = [effect("A", 0.0, 0.5), effect("B", 1.0, 0.25), effect("C", 3.0, 0.25)]
     meta = pool_random(effects, "dl")
@@ -151,3 +261,9 @@ def test_forest_model_rows_and_diamond():
         meta.q, meta.q_df, meta.q_p, meta.i2, meta.tau2)
     with pytest.raises(ValueError, match="do not match"):
         forest_model(effects[:2], meta)
+
+
+def test_forest_model_rejects_effects_in_another_order():
+    effects = [effect("A", 0.0, 0.5), effect("B", 1.0, 0.25), effect("C", 3.0, 0.25)]
+    with pytest.raises(ValueError, match="do not match"):
+        forest_model(effects[::-1], pool_random(effects, "dl"))
