@@ -15,6 +15,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -47,9 +48,8 @@ TREATMENT = "treatment"
 RAW_COLUMNS = ("experiment_id", "participant_id", "treatment", "outcome")
 SUMMARY_COLUMNS = ("experiment_id", "n_control", "n_treatment", "mean_control",
                    "sd_control", "mean_treatment", "sd_treatment", "corr", "design")
-COVARIATE_COLUMNS = ("experiment_id", "participant_id", "subject_type",
-                     "programming", "java", "unit_testing", "junit")
 ORDINAL_COVARIATES = ("programming", "java", "unit_testing", "junit")
+COVARIATE_COLUMNS = ("experiment_id", "participant_id", "subject_type", *ORDINAL_COVARIATES)
 SUBJECT_TYPES = ("professional", "student")
 DESIGNS = ("within", "between")
 
@@ -154,7 +154,7 @@ class ReplicationSet:
         return self._index[experiment_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SummaryRow:
     """Per-replication summary statistics.
 
@@ -164,7 +164,9 @@ class SummaryRow:
     A within-subjects row's corr is None only when the paired correlation is
     undefined; no repeated-measures d can then be computed from the row.
     A between-subjects row never carries corr.
-    """
+
+    ``__init__`` is hand-written: it stores each field straight into the
+    instance dict, at under half the cost of the generated frozen one."""
 
     experiment_id: str
     n_control: int
@@ -178,17 +180,35 @@ class SummaryRow:
     median_control: float | None = None
     median_treatment: float | None = None
 
-    def __post_init__(self):
-        if self.design not in DESIGNS:
-            raise DataError(f"unknown design {self.design!r} for {self.experiment_id}")
-        if self.n_control < 2 or self.n_treatment < 2:
-            raise DataError(f"{self.experiment_id}: each arm needs n >= 2")
-        if self.sd_control < 0 or self.sd_treatment < 0:
-            raise DataError(f"{self.experiment_id}: standard deviations must be >= 0")
-        if self.corr is not None and self.design == "between":
-            raise DataError(f"{self.experiment_id}: between-subjects rows must not carry corr")
-        if self.corr is not None and not -1.0 <= self.corr <= 1.0:
-            raise DataError(f"{self.experiment_id}: corr {self.corr} outside [-1, 1]")
+    def __init__(self, experiment_id: str, n_control: int, n_treatment: int,
+                 mean_control: float, sd_control: float, mean_treatment: float,
+                 sd_treatment: float, corr: float | None, design: str,
+                 median_control: float | None = None, median_treatment: float | None = None):
+        if design not in DESIGNS:
+            raise DataError(f"unknown design {design!r} for {experiment_id}")
+        if n_control < 2 or n_treatment < 2:
+            raise DataError(f"{experiment_id}: each arm needs n >= 2")
+        if sd_control < 0 or sd_treatment < 0:
+            raise DataError(f"{experiment_id}: standard deviations must be >= 0")
+        if not (math.isfinite(mean_control) and math.isfinite(sd_control)
+                and math.isfinite(mean_treatment) and math.isfinite(sd_treatment)):
+            raise DataError(f"{experiment_id}: means and standard deviations must be finite")
+        if corr is not None and design == "between":
+            raise DataError(f"{experiment_id}: between-subjects rows must not carry corr")
+        if corr is not None and not -1.0 <= corr <= 1.0:
+            raise DataError(f"{experiment_id}: corr {corr} outside [-1, 1]")
+        f = self.__dict__
+        f["experiment_id"] = experiment_id
+        f["n_control"] = n_control
+        f["n_treatment"] = n_treatment
+        f["mean_control"] = mean_control
+        f["sd_control"] = sd_control
+        f["mean_treatment"] = mean_treatment
+        f["sd_treatment"] = sd_treatment
+        f["corr"] = corr
+        f["design"] = design
+        f["median_control"] = median_control
+        f["median_treatment"] = median_treatment
 
 
 @dataclass(frozen=True)
@@ -253,15 +273,17 @@ class ParseOptions:
             raise DataError(f"no design declared for experiment {experiment_id!r}") from None
 
 
-def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[str, dict[str, str]]]:
-    """Yield ("file:line", row) for each data row of a CSV file whose header
-    names each expected column exactly once, in any order. Blank lines are
-    skipped; a row with too few or too many fields is rejected."""
+def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Yield ("file:line", cells) for each data row of a CSV file whose header
+    names each expected column exactly once, in any order; the cells come in
+    the order of ``expected``. Blank lines are skipped; a row with too few or
+    too many fields is rejected."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = tuple(next(reader, ()))
         if len(names) != len(expected) or set(names) != set(expected):
             raise DataError(f"{path}: header {names!r} does not match expected columns {expected!r}")
+        in_expected_order = itemgetter(*map(names.index, expected))
         for cells in reader:
             if not cells:
                 continue
@@ -269,7 +291,7 @@ def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[str, dic
             if len(cells) != len(names):
                 raise DataError(f"{where}: malformed row (expected {len(names)} fields, "
                                 f"got {len(cells)})")
-            yield where, dict(zip(names, cells))
+            yield where, in_expected_order(cells)
 
 
 def _parse_float(cell: str, what: str, where: str) -> float:
@@ -298,18 +320,17 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     path = Path(path)
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
     by_experiment: dict[str, list[Observation]] = {}
-    for where, row in _read_rows(path, RAW_COLUMNS):
-        exp = row["experiment_id"].strip()
-        pid = row["participant_id"].strip()
+    for where, (exp, pid, label, cell) in _read_rows(path, RAW_COLUMNS):
+        exp, pid = exp.strip(), pid.strip()
         if not exp or not pid:
             raise DataError(f"{where}: empty experiment or participant id")
         if (exp, pid) in options.exclude:
             continue
-        label = row["treatment"].strip()
+        label = label.strip()
         if label not in label_map:
             raise DataError(f"{where}: unknown treatment label {label!r} "
                             f"(expected {options.control_label!r} or {options.treatment_label!r})")
-        cell = row["outcome"].strip()
+        cell = cell.strip()
         outcome = None if cell == "" else _parse_float(cell, "outcome", where)
         try:
             obs = Observation(exp, pid, label_map[label], outcome)
@@ -346,18 +367,21 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
     path = Path(path)
     rows: list[SummaryRow] = []
     seen: set[str] = set()
-    for where, row in _read_rows(path, SUMMARY_COLUMNS):
-        exp = row["experiment_id"].strip()
+    for where, cells in _read_rows(path, SUMMARY_COLUMNS):
+        exp, n_c, n_t, m_c, s_c, m_t, s_t, corr, design = cells
+        exp = exp.strip()
         if exp in seen:
             raise DataError(f"{where}: duplicate summary row for {exp!r}")
         seen.add(exp)
-        corr_cell = row["corr"].strip()
-        corr = None if corr_cell == "" else _parse_float(corr_cell, "corr", where)
-        counts = [_parse_int(row[name], name, where) for name in ("n_control", "n_treatment")]
-        moments = [_parse_float(row[name], name, where)
-                   for name in ("mean_control", "sd_control", "mean_treatment", "sd_treatment")]
+        corr = corr.strip()
+        corr = None if corr == "" else _parse_float(corr, "corr", where)
+        counts = _parse_int(n_c, "n_control", where), _parse_int(n_t, "n_treatment", where)
+        moments = (_parse_float(m_c, "mean_control", where),
+                   _parse_float(s_c, "sd_control", where),
+                   _parse_float(m_t, "mean_treatment", where),
+                   _parse_float(s_t, "sd_treatment", where))
         try:
-            rows.append(SummaryRow(exp, *counts, *moments, corr, row["design"].strip()))
+            rows.append(SummaryRow(exp, *counts, *moments, corr, design.strip()))
         except DataError as err:
             raise DataError(f"{where}: {err}") from None
     if not rows:
@@ -386,9 +410,8 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
         known = {(r.experiment_id, pid) for r in dataset.replications for pid in r.participants}
     rows: list[CovariateRow] = []
     seen: set[tuple[str, str]] = set()
-    for where, row in _read_rows(path, COVARIATE_COLUMNS):
-        exp = row["experiment_id"].strip()
-        pid = row["participant_id"].strip()
+    for where, (exp, pid, subject_type, *ordinals) in _read_rows(path, COVARIATE_COLUMNS):
+        exp, pid = exp.strip(), pid.strip()
         key = (exp, pid)
         if key in seen:
             raise DataError(f"{where}: duplicate covariate row for {key}")
@@ -396,9 +419,10 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
         if known is not None and key not in known:
             raise DataError(f"{where}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")
-        values = {name: _parse_int(row[name], name, where) for name in ORDINAL_COVARIATES}
+        values = {name: _parse_int(cell, name, where)
+                  for name, cell in zip(ORDINAL_COVARIATES, ordinals)}
         try:
-            rows.append(CovariateRow(exp, pid, row["subject_type"].strip(), values))
+            rows.append(CovariateRow(exp, pid, subject_type.strip(), values))
         except DataError as err:
             raise DataError(f"{where}: {err}") from None
     if not rows:

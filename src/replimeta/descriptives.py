@@ -18,6 +18,7 @@ from .data import (
     ReplicationSet,
     SummaryRow,
 )
+from .numerics import sqrt_of_ratio
 
 __all__ = [
     "AnalysisWarning",
@@ -123,11 +124,12 @@ def summarize_covariates(covariates: CovariateTable) -> list[CovariateSummary]:
         groups.setdefault(r.experiment_id, []).append([r.values[n] for n in ORDINAL_COVARIATES])
     summaries = []
     for exp, rows in groups.items():
-        if len(rows) < 2:
+        if (n := len(rows)) < 2:
             warnings.warn(f"{exp}: single covariate row; sd reported as 0", AnalysisWarning)
-        ordinals = np.array(rows, dtype=np.float64)  # (participants, covariates)
-        stats = {name: (sample_mean(col), math.sqrt(sample_variance(col)))
-                 for name, col in zip(ORDINAL_COVARIATES, ordinals.T)}
+        ordinals = np.array(rows, dtype=np.int64)  # (participants, covariates), exact sums
+        sums, squares = ordinals.sum(axis=0).tolist(), (ordinals * ordinals).sum(axis=0).tolist()
+        stats = {name: (s / n, sqrt_of_ratio(n * q - s * s, max(n * (n - 1), 1)))
+                 for name, s, q in zip(ORDINAL_COVARIATES, sums, squares)}
         summaries.append(CovariateSummary(exp, stats))
     return summaries
 

@@ -150,7 +150,7 @@ def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], tau2: float, model: s
         p_value=_z_p(z),
         tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2,
         model=model,
-        weights=tuple(float(x) for x in w / sw),
+        weights=tuple((w / sw).tolist()),
         labels=tuple(labels),
     )
 

@@ -21,6 +21,7 @@ __all__ = [
     "normal_quantile",
     "regularized_incomplete_beta",
     "regularized_upper_gamma",
+    "sqrt_of_ratio",
     "t_cdf",
     "t_quantile",
     "t_sf",
@@ -302,6 +303,15 @@ def chisq_sf(x: float, df: float) -> float:
     if x < 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x!r}")
     return regularized_upper_gamma(0.5 * df, 0.5 * x)
+
+
+def sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, correctly rounded: an
+    integer root of at least 55 bits, rounded to odd, then rounded once to float
+    (Boldo & Melquiond 2008, IEEE Trans. Comput. 57:462)."""
+    shift = max(0, 112 - num.bit_length() + den.bit_length()) // 2
+    root = math.isqrt((num << 2 * shift) // den)
+    return (root | (root * root * den != num << 2 * shift)) / (1 << shift)
 
 
 # ---------------------------------------------------------------------------

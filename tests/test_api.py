@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -26,3 +27,25 @@ def test_every_name_imported_from_a_sibling_is_exported(module):
             unexported += [f"{node.module}.{alias.name}" for alias in node.names
                            if alias.name not in sibling.__all__]
     assert unexported == []
+
+
+def _hand_initialised_dataclasses():
+    return [cls for module in MODULES for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and dataclasses.is_dataclass(cls) and not cls.__dataclass_params__.init]
+
+
+def test_hand_written_inits_exist():
+    names = {cls.__name__ for cls in _hand_initialised_dataclasses()}
+    assert {"SummaryRow", "EffectSize"} <= names
+
+
+@pytest.mark.parametrize("cls", _hand_initialised_dataclasses(), ids=lambda c: c.__name__)
+def test_hand_written_init_matches_fields(cls):
+    # a field added to the class but not to __init__ (or the reverse) fails here
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)]
+    assert cls.__dataclass_params__.frozen

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -352,3 +353,92 @@ def test_replication_set_rejects_repeated_experiment_id():
     rep = make_dataset().replication("E1")
     with pytest.raises(rd.DataError, match="duplicate replication 'E1'"):
         rd.ReplicationSet((rep, rd.Replication("E1", "between", rep.observations)))
+
+
+# ---------------------------------------------------------------------------
+# the SummaryRow record
+# ---------------------------------------------------------------------------
+
+ROW = rd.SummaryRow("E1", 5, 6, 1.5, 1.25, 2.5, 1.75, 0.5, "within", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(rd.SummaryRow)])
+def test_summary_row_fields_are_frozen(field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ROW, field, getattr(ROW, field))
+
+
+def test_summary_row_replace_still_validates():
+    with pytest.raises(rd.DataError, match="E1: standard deviations must be >= 0"):
+        dataclasses.replace(ROW, sd_control=-1.0)
+    assert dataclasses.replace(ROW, n_control=7).n_control == 7
+
+
+def test_summary_row_equality_hash_and_repr_match_keyword_construction():
+    keywords = rd.SummaryRow(experiment_id="E1", n_control=5, n_treatment=6, mean_control=1.5,
+                             sd_control=1.25, mean_treatment=2.5, sd_treatment=1.75, corr=0.5,
+                             design="within", median_control=1.0, median_treatment=2.0)
+    assert ROW == keywords and hash(ROW) == hash(keywords)
+    assert repr(ROW) == repr(keywords) == (
+        "SummaryRow(experiment_id='E1', n_control=5, n_treatment=6, mean_control=1.5, "
+        "sd_control=1.25, mean_treatment=2.5, sd_treatment=1.75, corr=0.5, design='within', "
+        "median_control=1.0, median_treatment=2.0)")
+    no_medians = rd.SummaryRow("E1", 5, 6, 1.5, 1.25, 2.5, 1.75, 0.5, "within")
+    assert no_medians == dataclasses.replace(ROW, median_control=None, median_treatment=None)
+
+
+@pytest.mark.parametrize("field", ["mean_control", "sd_control", "mean_treatment", "sd_treatment"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_summary_row_rejects_non_finite_moments(field, value):
+    if field.startswith("sd") and value == -math.inf:
+        message = "E1: standard deviations must be >= 0"
+    else:
+        message = "E1: means and standard deviations must be finite"
+    with pytest.raises(rd.DataError, match=f"^{message}$"):
+        dataclasses.replace(ROW, **{field: value})
+
+
+# ---------------------------------------------------------------------------
+# headers in any column order
+# ---------------------------------------------------------------------------
+
+def permuted_csv(text, order):
+    """The same CSV with its columns rearranged as `order` (indices)."""
+    lines = [line.split(",") for line in text.strip().split("\n")]
+    return "\n".join(",".join(cells[i] for i in order) for cells in lines) + "\n"
+
+
+RAW_TWO_EXPERIMENTS = RAW_MINIMAL + "E2,q1,control,1\nE2,q1,treatment,\nE2,q2,control,3\n"
+
+
+@pytest.mark.parametrize("order", [(3, 1, 0, 2), (2, 3, 1, 0)])
+def test_raw_loader_reads_header_in_any_order(tmp_path, order):
+    expected = rd.load_raw_dataset(write(tmp_path / "a.csv", RAW_TWO_EXPERIMENTS))
+    permuted = write(tmp_path / "b.csv", permuted_csv(RAW_TWO_EXPERIMENTS, order))
+    assert rd.load_raw_dataset(permuted) == expected
+
+
+@pytest.mark.parametrize("order", [(8, 7, 6, 5, 4, 3, 2, 1, 0), (4, 0, 8, 2, 6, 1, 7, 3, 5)])
+def test_summary_loader_reads_header_in_any_order(tmp_path, order):
+    text = (SUMMARY_HEADER + "E1,5,5,1.5,1.25,2.5,1.75,0.52,within\n"
+            + "E2,5,6,1.0,1.0,2.0,1.0,,between\n")
+    expected = rd.load_summary_dataset(write(tmp_path / "a.csv", text))
+    permuted = write(tmp_path / "b.csv", permuted_csv(text, order))
+    assert rd.load_summary_dataset(permuted) == expected
+    assert [r.corr for r in expected] == [0.52, None]
+
+
+@pytest.mark.parametrize("order", [(6, 5, 4, 3, 2, 1, 0), (2, 0, 5, 1, 3, 6, 4)])
+def test_covariate_loader_reads_header_in_any_order(tmp_path, order):
+    text = COV_HEADER + "E1,p1,professional,3,2,2,1\nE1,p2,student,4,3,1,2\n"
+    expected = rd.load_covariates(write(tmp_path / "a.csv", text), make_dataset())
+    permuted = write(tmp_path / "b.csv", permuted_csv(text, order))
+    assert rd.load_covariates(permuted, make_dataset()) == expected
+    assert expected.rows[1].values == {"programming": 4, "java": 3, "unit_testing": 1, "junit": 2}
+
+
+def test_permuted_header_keeps_line_numbers_in_messages(tmp_path):
+    text = permuted_csv(SUMMARY_HEADER + "E1,5,5,1,1,2,1,0.5,within\nE2,2.7,5,1,1,2,1,0.5,within\n",
+                        (8, 7, 6, 5, 4, 3, 2, 1, 0))
+    with pytest.raises(rd.DataError, match=r"s\.csv:3: n_control must be an integer, got '2\.7'$"):
+        rd.load_summary_dataset(write(tmp_path / "s.csv", text))

@@ -1,4 +1,6 @@
+import random
 import statistics
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -188,3 +190,38 @@ def test_profile_series_outcomes_keeps_constant_arm_replication():
         "E1": pytest.approx((11.0, 21.0)),
         "E2": pytest.approx((5.0, 7.0)),
     }
+
+
+def random_covariate_table(rng):
+    """Groups of 1 to 40 rows of ordinals in 1..4; about a third of the columns
+    are held constant, and about one group in five has a single row."""
+    rows = []
+    for g in range(rng.randint(1, 6)):
+        n = 1 if rng.random() < 0.2 else rng.randint(2, 40)
+        constant = {name: rng.randint(1, 4) for name in rd.ORDINAL_COVARIATES
+                    if rng.random() < 0.3}
+        for i in range(n):
+            values = {name: constant.get(name) or rng.randint(1, 4)
+                      for name in rd.ORDINAL_COVARIATES}
+            rows.append(rd.CovariateRow(f"E{g}", f"p{i}", "student", values))
+    return rd.CovariateTable(tuple(rows))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_covariate_summaries_equal_statistics_bit_for_bit(seed):
+    table = random_covariate_table(random.Random(seed))
+    columns = {}
+    for r in table.rows:
+        for name in rd.ORDINAL_COVARIATES:
+            columns.setdefault(r.experiment_id, {}).setdefault(name, []).append(r.values[name])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summaries = dsc.summarize_covariates(table)
+    singles = [exp for exp, cols in columns.items() if len(cols["java"]) == 1]
+    assert [str(w.message) for w in caught] == [f"{exp}: single covariate row; sd reported as 0"
+                                                for exp in singles]
+    assert [s.experiment_id for s in summaries] == list(columns)
+    for s in summaries:
+        for name, xs in columns[s.experiment_id].items():
+            assert s.mean(name) == statistics.fmean(xs)
+            assert s.sd(name) == (statistics.stdev(xs) if len(xs) > 1 else 0.0)

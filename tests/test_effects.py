@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 from replimeta import data as rd
 from replimeta import descriptives as dsc
 from replimeta.data import SummaryRow
-from replimeta.effects import between_subjects_d, hedges_correction, repeated_measures_d
+from replimeta.effects import (
+    EffectSize,
+    between_subjects_d,
+    hedges_correction,
+    repeated_measures_d,
+)
 
 # summary rows as printed for the illustrative four-replication group
 ROW_H = SummaryRow("F-Secure H", 6, 6, 30.71, 36.58, 40.23, 33.43, 0.59, "within")
@@ -148,3 +154,60 @@ def test_summary_then_d_matches_brute_force():
     v = (1 / n + d * d / (2 * n)) * 2 * (1 - r)
     assert via_summary.d == pytest.approx(d, rel=1e-12)
     assert via_summary.variance == pytest.approx(v, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the EffectSize record
+# ---------------------------------------------------------------------------
+
+LABELLED = EffectSize("E1", 0.4, 0.1, 20, corrected=True, subgroup_label="student",
+                      moderator_x=2.5)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EffectSize)])
+def test_effect_size_fields_are_frozen(field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(LABELLED, field, getattr(LABELLED, field))
+
+
+def test_effect_size_replace_still_validates():
+    with pytest.raises(ValueError, match="variance must be positive"):
+        dataclasses.replace(LABELLED, variance=-1.0)
+    assert dataclasses.replace(LABELLED, d=0.5) == EffectSize("E1", 0.5, 0.1, 20, True, "student", 2.5)
+
+
+def test_effect_size_equality_hash_and_repr_match_keyword_construction():
+    keywords = EffectSize(experiment_id="E1", d=0.4, variance=0.1, n_effective=20,
+                          corrected=True, subgroup_label="student", moderator_x=2.5)
+    positional = EffectSize("E1", 0.4, 0.1, 20, True, "student", 2.5)
+    assert positional == keywords == LABELLED
+    assert hash(positional) == hash(keywords)
+    assert repr(positional) == repr(keywords) == (
+        "EffectSize(experiment_id='E1', d=0.4, variance=0.1, n_effective=20, corrected=True, "
+        "subgroup_label='student', moderator_x=2.5)")
+    assert EffectSize("E1", 0.4, 0.1, 20) == EffectSize("E1", 0.4, 0.1, 20, False, None, None)
+    assert EffectSize("E1", 0.4, 0.1, 20) != EffectSize("E1", 0.4, 0.1, 21)
+
+
+@pytest.mark.parametrize("arguments", [
+    ("E1", math.nan, 0.1, 20), ("E1", math.inf, 0.1, 20), ("E1", -math.inf, 0.1, 20),
+    ("E1", 0.3, math.nan, 10), ("E1", 0.3, math.inf, 10),
+    ("E1", 0.3, 0.1, 10, False, None, math.nan), ("E1", 0.3, 0.1, 10, False, "a", -math.inf),
+])
+def test_effect_size_rejects_non_finite_values(arguments):
+    with pytest.raises(ValueError, match=r"^E1: d, variance and moderator must be finite"):
+        EffectSize(*arguments)
+
+
+def test_effect_size_still_rejects_bad_variance_and_n():
+    with pytest.raises(ValueError, match="E1: effect-size variance must be positive"):
+        EffectSize("E1", 0.3, 0.0, 10)
+    with pytest.raises(ValueError, match="E1: effective n must be >= 2"):
+        EffectSize("E1", 0.3, 0.1, 1)
+
+
+def test_hedges_correction_keeps_the_other_fields():
+    g = hedges_correction(EffectSize("E7", 0.4, 0.1, 20, False, "student", 2.5), df=18)
+    j = 1.0 - 3.0 / (4 * 18 - 1)
+    assert g == EffectSize("E7", 0.4 * j, 0.1 * j * j, 20, True, "student", 2.5)
+    assert (g.experiment_id, g.n_effective, g.subgroup_label, g.moderator_x) == ("E7", 20, "student", 2.5)

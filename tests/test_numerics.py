@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,3 +272,37 @@ def test_t_cdf_keeps_digits_near_zero():
     # F(x; 2) - 1/2 = x / (2 sqrt(2 + x^2)), which 1 - tail would round to 0
     for x in (1e-9, -3e-12):
         assert nm.t_cdf(x, 2) - 0.5 == pytest.approx(x / (2.0 * math.sqrt(2.0 + x * x)), rel=1e-6)
+
+
+
+def is_correctly_rounded_sqrt(s, num, den):
+    """True when no double lies nearer sqrt(num / den) than s: the exact ratio
+    lies between the squares of the midpoints from s to its neighbours."""
+    ratio = Fraction(num, den)
+    if s == 0.0:
+        return ratio == 0
+    lo = (Fraction(s) + Fraction(math.nextafter(s, 0.0))) / 2
+    hi = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+    return lo * lo <= ratio <= hi * hi
+
+
+@given(st.integers(0, 10**40), st.integers(1, 10**40))
+@settings(max_examples=500, deadline=None)
+def test_sqrt_of_ratio_is_correctly_rounded(num, den):
+    assert is_correctly_rounded_sqrt(nm.sqrt_of_ratio(num, den), num, den)
+
+
+def test_sqrt_of_ratio_small_ratios_and_exact_cases():
+    # the ratios a variance of ordinal data takes; sqrt of the rounded ratio
+    # is off by one ulp on some of them
+    misses = 0
+    for num in range(0, 240):
+        for den in range(1, 80):
+            s = nm.sqrt_of_ratio(num, den)
+            assert is_correctly_rounded_sqrt(s, num, den), (num, den)
+            misses += s != math.sqrt(num / den)
+    assert misses > 0
+    # where num / den is a double, math.sqrt is correctly rounded too
+    for num, den in [(9, 4), (2, 1), (1, 3 << 60), (10**15 + 1, 1 << 20), (7, 1 << 1000)]:
+        assert nm.sqrt_of_ratio(num, den) == math.sqrt(num / den)
+    assert nm.sqrt_of_ratio(10**400, 1) == 1e200
