@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from replimeta import data as rd
 from replimeta import descriptives as dsc
 from replimeta.data import SummaryRow
-from replimeta.effects import (
-    EffectSize,
-    between_subjects_d,
-    hedges_correction,
-    repeated_measures_d,
-)
+from replimeta.effects import EffectSize, between_subjects_d, hedges_correction, repeated_measures_d
 
 # summary rows as printed for the illustrative four-replication group
 ROW_H = SummaryRow("F-Secure H", 6, 6, 30.71, 36.58, 40.23, 33.43, 0.59, "within")
@@ -173,7 +168,8 @@ def test_effect_size_fields_are_frozen(field):
 def test_effect_size_replace_still_validates():
     with pytest.raises(ValueError, match="variance must be positive"):
         dataclasses.replace(LABELLED, variance=-1.0)
-    assert dataclasses.replace(LABELLED, d=0.5) == EffectSize("E1", 0.5, 0.1, 20, True, "student", 2.5)
+    moved = EffectSize("E1", 0.5, 0.1, 20, True, "student", 2.5)
+    assert dataclasses.replace(LABELLED, d=0.5) == moved
 
 
 def test_effect_size_equality_hash_and_repr_match_keyword_construction():
@@ -210,4 +206,5 @@ def test_hedges_correction_keeps_the_other_fields():
     g = hedges_correction(EffectSize("E7", 0.4, 0.1, 20, False, "student", 2.5), df=18)
     j = 1.0 - 3.0 / (4 * 18 - 1)
     assert g == EffectSize("E7", 0.4 * j, 0.1 * j * j, 20, True, "student", 2.5)
-    assert (g.experiment_id, g.n_effective, g.subgroup_label, g.moderator_x) == ("E7", 20, "student", 2.5)
+    kept = (g.experiment_id, g.n_effective, g.subgroup_label, g.moderator_x)
+    assert kept == ("E7", 20, "student", 2.5)
