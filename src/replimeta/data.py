@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -50,6 +51,7 @@ SUMMARY_COLUMNS = ("experiment_id", "n_control", "n_treatment", "mean_control",
                    "sd_control", "mean_treatment", "sd_treatment", "corr", "design")
 ORDINAL_COVARIATES = ("programming", "java", "unit_testing", "junit")
 COVARIATE_COLUMNS = ("experiment_id", "participant_id", "subject_type", *ORDINAL_COVARIATES)
+INTEGER_COLUMNS = frozenset(("n_control", "n_treatment", *ORDINAL_COVARIATES))
 SUBJECT_TYPES = ("professional", "student")
 DESIGNS = ("within", "between")
 
@@ -78,10 +80,10 @@ class Replication:
     """One experiment's observations, laid out once as aligned arm arrays.
 
     ``participants`` holds the sorted participant ids; ``control`` and
-    ``treatment`` are read-only float64 arrays aligned with it, NaN where an
-    outcome is missing or the participant has no row for that arm. They are
-    attributes, not fields: ``observations`` stays the record of rows, and
-    equality and repr use it.
+    ``treatment`` are float64 arrays over immutable bytes (read-only for good)
+    aligned with it, NaN where an outcome is missing or the participant has no
+    row for that arm. They are attributes, not fields: ``observations`` stays
+    the record of rows, and equality and repr use it.
     """
 
     experiment_id: str
@@ -107,7 +109,7 @@ class Replication:
         if np.count_nonzero(~(np.isnan(control) & np.isnan(treatment))) < 2:
             raise DataError(f"replication {self.experiment_id!r} needs at least 2 "
                             f"participants with a non-missing outcome")
-        control.flags.writeable = treatment.flags.writeable = False
+        control, treatment = (np.frombuffer(arm.tobytes()) for arm in (control, treatment))
         self.__dict__.update(participants=tuple(participants), control=control, treatment=treatment)
 
     def _arm(self, treatment: str) -> np.ndarray:
@@ -227,19 +229,20 @@ class PairedSample:
         return len(self.differences)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CovariateRow:
     experiment_id: str
     participant_id: str
     subject_type: str
-    values: Mapping[str, int]  # ordinal 1..4 per covariate name
+    values: Mapping[str, int]  # ordinal 1..4 per covariate name; kept as a read-only copy
 
     def __post_init__(self):
+        object.__setattr__(self, "values", values := MappingProxyType(dict(self.values)))
         if self.subject_type not in SUBJECT_TYPES:
             raise DataError(f"unknown subject_type {self.subject_type!r} "
                             f"({self.experiment_id}/{self.participant_id})")
         for name in ORDINAL_COVARIATES:
-            v = self.values.get(name)
+            v = values.get(name)
             if v is None or not 1 <= v <= 4:
                 raise DataError(f"{name} must be an integer in 1..4, got {v!r} "
                                 f"({self.experiment_id}/{self.participant_id})")
@@ -273,8 +276,8 @@ class ParseOptions:
             raise DataError(f"no design declared for experiment {experiment_id!r}") from None
 
 
-def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[str, tuple[str, ...]]]:
-    """Yield ("file:line", cells) for each data row of a CSV file whose header
+def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line number, cells) for each data row of a CSV file whose header
     names each expected column exactly once, in any order; the cells come in
     the order of ``expected``. Blank lines are skipped; a row with too few or
     too many fields is rejected."""
@@ -287,28 +290,25 @@ def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[str, tup
         for cells in reader:
             if not cells:
                 continue
-            where = f"{path}:{reader.line_num}"
             if len(cells) != len(names):
-                raise DataError(f"{where}: malformed row (expected {len(names)} fields, "
-                                f"got {len(cells)})")
-            yield where, in_expected_order(cells)
+                raise DataError(f"{path}:{reader.line_num}: malformed row (expected "
+                                f"{len(names)} fields, got {len(cells)})")
+            yield reader.line_num, in_expected_order(cells)
 
 
-def _parse_float(cell: str, what: str, where: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(f"{where}: malformed {what} value {cell!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"{where}: {what} must be finite, got {cell!r}")
-    return value
-
-
-def _parse_int(cell: str, what: str, where: str) -> int:
-    value = _parse_float(cell, what, where)
-    if value != int(value):
-        raise DataError(f"{where}: {what} must be an integer, got {cell.strip()!r}")
-    return int(value)
+def _row_error(where: str, numbers: Iterable[tuple[str, str]], err: Exception) -> DataError:
+    """The error for a rejected row: the first (column, cell) of ``numbers`` that is not
+    a finite number, or not an integer in an integer column; else ``err``, the record's."""
+    for what, cell in numbers:
+        try:
+            value = float(cell)
+        except ValueError:
+            return DataError(f"{where}: malformed {what} value {cell!r}")
+        if not math.isfinite(value):
+            return DataError(f"{where}: {what} must be finite, got {cell!r}")
+        if what in INTEGER_COLUMNS and value != int(value):
+            return DataError(f"{where}: {what} must be an integer, got {cell.strip()!r}")
+    return DataError(f"{where}: {err}")
 
 
 def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> ReplicationSet:
@@ -320,22 +320,20 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     path = Path(path)
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
     by_experiment: dict[str, list[Observation]] = {}
-    for where, (exp, pid, label, cell) in _read_rows(path, RAW_COLUMNS):
+    for line, (exp, pid, label, cell) in _read_rows(path, RAW_COLUMNS):
         exp, pid = exp.strip(), pid.strip()
         if not exp or not pid:
-            raise DataError(f"{where}: empty experiment or participant id")
+            raise DataError(f"{path}:{line}: empty experiment or participant id")
         if (exp, pid) in options.exclude:
             continue
         label = label.strip()
         if label not in label_map:
-            raise DataError(f"{where}: unknown treatment label {label!r} "
+            raise DataError(f"{path}:{line}: unknown treatment label {label!r} "
                             f"(expected {options.control_label!r} or {options.treatment_label!r})")
-        cell = cell.strip()
-        outcome = None if cell == "" else _parse_float(cell, "outcome", where)
-        try:
-            obs = Observation(exp, pid, label_map[label], outcome)
-        except DataError as err:
-            raise DataError(f"{where}: {err}") from None
+        try:  # Observation rejects a non-finite outcome
+            obs = Observation(exp, pid, label_map[label], float(cell) if cell.strip() else None)
+        except ValueError as err:
+            raise _row_error(f"{path}:{line}", [("outcome", cell.strip())], err) from None
         by_experiment.setdefault(exp, []).append(obs)
     if not by_experiment:
         raise DataError(f"{path}: no data rows")
@@ -367,23 +365,23 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
     path = Path(path)
     rows: list[SummaryRow] = []
     seen: set[str] = set()
-    for where, cells in _read_rows(path, SUMMARY_COLUMNS):
+    for line, cells in _read_rows(path, SUMMARY_COLUMNS):
         exp, n_c, n_t, m_c, s_c, m_t, s_t, corr, design = cells
         exp = exp.strip()
         if exp in seen:
-            raise DataError(f"{where}: duplicate summary row for {exp!r}")
+            raise DataError(f"{path}:{line}: duplicate summary row for {exp!r}")
         seen.add(exp)
-        corr = corr.strip()
-        corr = None if corr == "" else _parse_float(corr, "corr", where)
-        counts = _parse_int(n_c, "n_control", where), _parse_int(n_t, "n_treatment", where)
-        moments = (_parse_float(m_c, "mean_control", where),
-                   _parse_float(s_c, "sd_control", where),
-                   _parse_float(m_t, "mean_treatment", where),
-                   _parse_float(s_t, "sd_treatment", where))
-        try:
-            rows.append(SummaryRow(exp, *counts, *moments, corr, design.strip()))
-        except DataError as err:
-            raise DataError(f"{where}: {err}") from None
+        try:  # SummaryRow rejects non-finite moments and corr; int() a non-finite count
+            n_c, n_t = float(n_c), float(n_t)
+            row = SummaryRow(exp, int(n_c), int(n_t), float(m_c), float(s_c), float(m_t),
+                             float(s_t), float(corr) if corr.strip() else None, design.strip())
+            if row.n_control != n_c or row.n_treatment != n_t:
+                raise ValueError("fractional count")
+        except (ValueError, OverflowError) as err:
+            numbers = [("corr", corr.strip())] if corr.strip() else []
+            numbers += zip(SUMMARY_COLUMNS[1:7], cells[1:7])
+            raise _row_error(f"{path}:{line}", numbers, err) from None
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return rows
@@ -405,26 +403,29 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     """Load participant covariates; validates referential integrity when the
     raw dataset is supplied (orphan participant references are errors)."""
     path = Path(path)
-    known: set[tuple[str, str]] | None = None
-    if dataset is not None:
-        known = {(r.experiment_id, pid) for r in dataset.replications for pid in r.participants}
+    # participant ids per experiment: no tuple per participant for the collector to walk
+    known = None if dataset is None else {r.experiment_id: set(r.participants)
+                                          for r in dataset.replications}
     rows: list[CovariateRow] = []
     seen: set[tuple[str, str]] = set()
-    for where, (exp, pid, subject_type, *ordinals) in _read_rows(path, COVARIATE_COLUMNS):
+    for line, (exp, pid, subject_type, *ordinals) in _read_rows(path, COVARIATE_COLUMNS):
         exp, pid = exp.strip(), pid.strip()
         key = (exp, pid)
         if key in seen:
-            raise DataError(f"{where}: duplicate covariate row for {key}")
+            raise DataError(f"{path}:{line}: duplicate covariate row for {key}")
         seen.add(key)
-        if known is not None and key not in known:
-            raise DataError(f"{where}: participant {pid!r} of experiment {exp!r} "
+        if known is not None and pid not in known.get(exp, ()):
+            raise DataError(f"{path}:{line}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")
-        values = {name: _parse_int(cell, name, where)
-                  for name, cell in zip(ORDINAL_COVARIATES, ordinals)}
-        try:
-            rows.append(CovariateRow(exp, pid, subject_type.strip(), values))
-        except DataError as err:
-            raise DataError(f"{where}: {err}") from None
+        try:  # CovariateRow rejects values outside 1..4; int() a non-finite one
+            floats = list(map(float, ordinals))
+            ints = list(map(int, floats))
+            if ints != floats:
+                raise ValueError("fractional ordinal")
+            row = CovariateRow(exp, pid, subject_type.strip(), dict(zip(ORDINAL_COVARIATES, ints)))
+        except (ValueError, OverflowError) as err:
+            raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, ordinals), err) from None
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return CovariateTable(tuple(rows))

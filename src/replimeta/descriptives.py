@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,8 +45,12 @@ def sample_mean(values) -> float:
 
 
 def sample_variance(values) -> float:
-    """Sample variance (n-1 denominator); exactly 0.0 when all values are equal."""
-    return 0.0 if np.ptp(values) == 0 else float(np.var(values, ddof=1))
+    """Sample variance (n-1 denominator) by np.var(ddof=1)'s reductions; 0.0 if all equal."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.max() - x.min() == 0.0:
+        return 0.0
+    d = x - np.add.reduce(x) / x.size
+    return float(np.add.reduce(d * d) / (x.size - 1))
 
 
 def _median(values: np.ndarray) -> float:
@@ -57,36 +62,49 @@ def _median(values: np.ndarray) -> float:
 def pearson_corr(x, y) -> float | None:
     """Pearson correlation; None for fewer than 2 points or a constant input."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
+    if x.shape != y.shape or x.size < 2 or x.max() - x.min() == 0 or y.max() - y.min() == 0:
         return None
-    dx, dy = x - x.mean(), y - y.mean()
+    dx, dy = x - np.add.reduce(x) / x.size, y - np.add.reduce(y) / y.size
     r = float(dx @ dy) / math.sqrt(dx @ dx) / math.sqrt(dy @ dy)
     return max(-1.0, min(1.0, r))
 
 
+def _once(record, summarize):
+    """summarize(record) -> (result, warning messages), run once per immutable record
+    and kept in its instance dict; each call emits the warnings again. No exception is kept."""
+    memo = record.__dict__.get("_summary") or record.__dict__.setdefault("_summary", summarize(record))
+    for message in memo[1]:
+        warnings.warn(message, AnalysisWarning)
+    return memo[0]
+
+
 def summarize_replication(replication: Replication) -> SummaryRow:
     """Per-arm n/mean/sd/median plus the complete-pairs correlation for
-    within-subjects designs.
+    within-subjects designs, computed once per replication.
 
     The correlation uses complete pairs only, consistent with the
     complete-observation rule of the aggregated-data path. When either paired
     arm is constant, or fewer than 2 complete pairs exist, the correlation is
     undefined and reported as missing.
     """
+    return _once(replication, _summarize_replication)
+
+
+def _summarize_replication(replication: Replication) -> tuple[SummaryRow, tuple[str, ...]]:
     control, treatment = (arm[~np.isnan(arm)]
                           for arm in (replication.control, replication.treatment))
     if control.size < 2 or treatment.size < 2:
         raise ValueError(f"{replication.experiment_id}: need at least 2 non-missing "
                          f"outcomes per arm")
-    corr = None
+    corr, messages = None, ()
     if replication.design == "within":
         paired_c, paired_t = replication.paired_values()
         corr = pearson_corr(paired_c, paired_t)
         if corr is None:
             reason = ("fewer than 2 complete pairs" if paired_c.size < 2
                       else "constant paired arm")
-            warnings.warn(f"{replication.experiment_id}: paired correlation undefined "
-                          f"({reason}); reported as missing", AnalysisWarning)
+            messages = (f"{replication.experiment_id}: paired correlation undefined "
+                        f"({reason}); reported as missing",)
     return SummaryRow(
         experiment_id=replication.experiment_id,
         n_control=control.size,
@@ -99,13 +117,13 @@ def summarize_replication(replication: Replication) -> SummaryRow:
         design=replication.design,
         median_control=_median(control),
         median_treatment=_median(treatment),
-    )
+    ), messages
 
 
 @dataclass(frozen=True)
 class CovariateSummary:
     experiment_id: str
-    stats: dict[str, tuple[float, float]]  # covariate -> (mean, sd) on the 1..4 scale
+    stats: MappingProxyType[str, tuple[float, float]]  # covariate -> (mean, sd), 1..4 scale
 
     def mean(self, name: str) -> float:
         return self.stats[name][0]
@@ -116,22 +134,26 @@ class CovariateSummary:
 
 def summarize_covariates(covariates: CovariateTable) -> list[CovariateSummary]:
     """Mean (sd) of each ordinal covariate per experiment, in order of first
-    appearance."""
+    appearance, computed once per table."""
+    return list(_once(covariates, _summarize_covariates))
+
+
+def _summarize_covariates(covariates: CovariateTable) -> tuple[tuple, tuple[str, ...]]:
     if not covariates.rows:
         raise ValueError("covariate table is empty")
     groups: dict[str, list[list[int]]] = {}
     for r in covariates.rows:
         groups.setdefault(r.experiment_id, []).append([r.values[n] for n in ORDINAL_COVARIATES])
-    summaries = []
+    summaries, messages = [], []
     for exp, rows in groups.items():
         if (n := len(rows)) < 2:
-            warnings.warn(f"{exp}: single covariate row; sd reported as 0", AnalysisWarning)
+            messages.append(f"{exp}: single covariate row; sd reported as 0")
         ordinals = np.array(rows, dtype=np.int64)  # (participants, covariates), exact sums
         sums, squares = ordinals.sum(axis=0).tolist(), (ordinals * ordinals).sum(axis=0).tolist()
         stats = {name: (s / n, sqrt_of_ratio(n * q - s * s, max(n * (n - 1), 1)))
                  for name, s, q in zip(ORDINAL_COVARIATES, sums, squares)}
-        summaries.append(CovariateSummary(exp, stats))
-    return summaries
+        summaries.append(CovariateSummary(exp, MappingProxyType(stats)))
+    return tuple(summaries), tuple(messages)
 
 
 @dataclass(frozen=True)

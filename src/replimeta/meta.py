@@ -247,10 +247,10 @@ def meta_regression(effects: list[EffectSize]) -> MetaRegressionResult:
     effects = list(effects)
     if len(effects) < 3:
         raise ValueError("meta-regression needs at least 3 effect sizes")
-    if any(e.moderator_x is None for e in effects):
-        raise ValueError("every effect size needs a moderator value")
     d, v, _ = _arrays(effects)
-    x = np.array([e.moderator_x for e in effects])
+    x = np.array([e.moderator_x for e in effects], dtype=np.float64)  # NaN for None
+    if np.isnan(x).any():
+        raise ValueError("every effect size needs a moderator value")
     if float(np.ptp(x)) == 0.0:
         raise ValueError("moderator is constant across studies")
     design = np.column_stack([np.ones(len(d)), x])
@@ -297,12 +297,11 @@ class ForestPlotModel:
 def forest_model(effects: list[EffectSize], meta: MetaResult) -> ForestPlotModel:
     """Per-study rows (z-based CIs) plus the pooled diamond and heterogeneity
     caption; weight percentages come from the MetaResult."""
-    if meta.labels != tuple(e.experiment_id for e in effects):
+    d, v, ids = _arrays(list(effects))
+    if meta.labels != tuple(ids):
         raise ValueError("effects and meta-analysis weights do not match")
-    z975 = normal_quantile(0.975)
-    rows = tuple(
-        (e.experiment_id, e.d, e.d - z975 * e.se, e.d + z975 * e.se, 100.0 * wt)
-        for e, wt in zip(effects, meta.weights)
-    )
+    half = normal_quantile(0.975) * np.sqrt(v)  # np.sqrt is correctly rounded, as math.sqrt
+    rows = tuple(zip(ids, d.tolist(), (d - half).tolist(), (d + half).tolist(),
+                     [100.0 * wt for wt in meta.weights]))
     return ForestPlotModel(rows, (meta.pooled, meta.ci_low, meta.ci_high),
                            meta.q, meta.q_df, meta.q_p, meta.i2, meta.tau2)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from replimeta import data as rd
@@ -442,3 +443,36 @@ def test_permuted_header_keeps_line_numbers_in_messages(tmp_path):
                         (8, 7, 6, 5, 4, 3, 2, 1, 0))
     with pytest.raises(rd.DataError, match=r"s\.csv:3: n_control must be an integer, got '2\.7'$"):
         rd.load_summary_dataset(write(tmp_path / "s.csv", text))
+
+
+# ---------------------------------------------------------------------------
+# validated records cannot change under a summary computed from them
+# ---------------------------------------------------------------------------
+
+def test_covariate_values_are_a_read_only_copy():
+    values = {"programming": 4, "java": 2, "unit_testing": 2, "junit": 1}
+    row = rd.CovariateRow("E1", "p1", "student", values)
+    with pytest.raises(TypeError):
+        row.values["java"] = 9
+    values["java"] = 9  # the caller's dict is not the row's
+    assert row.values == {"programming": 4, "java": 2, "unit_testing": 2, "junit": 1}
+    assert dataclasses.replace(row, subject_type="professional").values == row.values
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.values = values
+
+
+def test_loaded_covariates_cannot_be_edited_after_validation(tmp_path):
+    text = COV_HEADER + "E1,p1,professional,3,2,2,1\nE1,p2,student,4,3,1,2\n"
+    table = rd.load_covariates(write(tmp_path / "c.csv", text), make_dataset())
+    with pytest.raises(TypeError):
+        table.rows[0].values["java"] = 9
+    from replimeta.descriptives import summarize_covariates
+    assert summarize_covariates(table)[0].mean("java") == 2.5
+
+
+def test_layout_arrays_cannot_be_made_writeable():
+    rep = make_dataset().replication("E1")
+    for arm in (rep.control, rep.treatment):
+        with pytest.raises(ValueError):
+            arm.flags.writeable = True
+        assert arm.dtype == np.float64 and not arm.flags.writeable

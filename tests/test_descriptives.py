@@ -1,7 +1,10 @@
+import dataclasses
+import math
 import random
 import statistics
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,3 +228,129 @@ def test_covariate_summaries_equal_statistics_bit_for_bit(seed):
         for name, xs in columns[s.experiment_id].items():
             assert s.mean(name) == statistics.fmean(xs)
             assert s.sd(name) == (statistics.stdev(xs) if len(xs) > 1 else 0.0)
+
+
+# ---------------------------------------------------------------------------
+# summaries computed once per record
+# ---------------------------------------------------------------------------
+
+def warned(call, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_repeated_summaries_are_equal_and_warn_every_time():
+    rep = within_replication([5.0, 5.0, 5.0], [7.0, 8.0, 9.0], "E2")
+    first, first_warnings = warned(dsc.summarize_replication, rep)
+    again, again_warnings = warned(dsc.summarize_replication, rep)
+    assert again == first and again is first
+    assert first_warnings == again_warnings == [
+        (dsc.AnalysisWarning, "E2: paired correlation undefined (constant paired arm); "
+                              "reported as missing")]
+    table = rd.CovariateTable((cov_table().rows[0], *cov_table().rows[2:]))
+    first, first_warnings = warned(dsc.summarize_covariates, table)
+    again, again_warnings = warned(dsc.summarize_covariates, table)
+    assert again == first and again is not first  # a fresh list each call
+    assert first_warnings == again_warnings == [
+        (dsc.AnalysisWarning, "E1: single covariate row; sd reported as 0")]
+
+
+def test_warnings_as_errors_raise_on_every_call():
+    rep = within_replication([5.0, 5.0], [7.0, 8.0])
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", dsc.AnalysisWarning)
+            with pytest.raises(dsc.AnalysisWarning, match="paired correlation undefined"):
+                dsc.summarize_replication(rep)
+
+
+def test_profiles_reuse_the_summaries():
+    reps = rd.ReplicationSet((within_replication([10.0, 12.0], [20.0, 23.0], "E1"),))
+    row = dsc.summarize_replication(reps.replications[0])
+    table = cov_table()
+    summaries = dsc.summarize_covariates(table)
+    assert dsc.profile_series_outcomes(reps).rows == (("E1", (row.mean_control, row.mean_treatment)),)
+    assert dsc.profile_series_covariates(table).rows[1] == (
+        "E2", tuple(summaries[1].mean(name) for name in rd.ORDINAL_COVARIATES))
+    assert dsc.summarize_replication(reps.replications[0]) is row
+
+
+def test_a_raised_error_is_not_kept():
+    observations = (rd.Observation("E1", "p1", rd.CONTROL, 1.0),
+                    rd.Observation("E1", "p2", rd.CONTROL, 2.0),
+                    rd.Observation("E1", "p3", rd.TREATMENT, 3.0))
+    rep = rd.Replication("E1", "between", observations)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="E1: need at least 2 non-missing outcomes per arm"):
+            dsc.summarize_replication(rep)
+    assert "_summary" not in vars(rep)
+    with pytest.raises(ValueError, match="covariate table is empty"):
+        dsc.summarize_covariates(rd.CovariateTable(()))
+
+
+def test_summarizing_leaves_equality_hash_repr_and_replace_unchanged():
+    rep, twin = (within_replication([1.0, 3.0, 2.0], [2.0, 5.0, 4.0]) for _ in range(2))
+    table, table_twin = cov_table(), cov_table()
+    before = (hash(rep), repr(rep), repr(table))
+    dsc.summarize_replication(rep)
+    dsc.summarize_covariates(table)
+    assert (hash(rep), repr(rep), repr(table)) == before
+    assert rep == twin and hash(rep) == hash(twin) and table == table_twin
+    with pytest.raises(TypeError):  # a mapping field makes the table unhashable, as before
+        hash(table)
+    replaced = dataclasses.replace(rep, experiment_id="E9", observations=tuple(
+        dataclasses.replace(o, experiment_id="E9") for o in rep.observations))
+    assert "_summary" not in vars(replaced)
+    assert dsc.summarize_replication(replaced).experiment_id == "E9"
+    assert dataclasses.replace(table) == table and "_summary" not in vars(dataclasses.replace(table))
+
+
+def test_returned_summaries_cannot_change_the_kept_ones():
+    table = cov_table()
+    summaries = dsc.summarize_covariates(table)
+    summaries.clear()
+    with pytest.raises(TypeError):
+        dsc.summarize_covariates(table)[0].stats["java"] = (9.0, 0.0)
+    assert dsc.summarize_covariates(table)[0].mean("java") == 2.5
+
+
+# ---------------------------------------------------------------------------
+# moments without numpy's Python wrappers
+# ---------------------------------------------------------------------------
+
+floats = st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: round(x, 3))
+
+
+@given(st.lists(floats, min_size=2, max_size=60), st.sampled_from([list, tuple, np.array]))
+@settings(max_examples=400, deadline=None)
+def test_sample_variance_is_np_var_bit_for_bit(values, kind):
+    expected = 0.0 if max(values) == min(values) else float(np.var(values, ddof=1))
+    assert dsc.sample_variance(kind(values)) == expected  # == compares every bit but the sign of 0
+
+
+@given(floats, st.integers(1, 40), st.sampled_from([list, tuple, np.array]))
+@settings(max_examples=200, deadline=None)
+def test_sample_variance_of_equal_values_is_exactly_zero(value, n, kind):
+    assert dsc.sample_variance(kind([value] * n)) == 0.0
+
+
+def test_sample_variance_on_long_arrays_matches_np_var():
+    rng = np.random.default_rng(9)
+    for n in (2, 7, 8, 9, 127, 128, 129, 1000, 30000):
+        x = rng.normal(3.0, 2.0, n)
+        assert dsc.sample_variance(x) == float(np.var(x, ddof=1))
+        assert dsc.sample_variance(tuple(x.tolist())) == float(np.var(x, ddof=1))
+
+
+@given(st.lists(st.tuples(floats, floats), min_size=2, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_pearson_corr_matches_centring_by_np_mean(pairs):
+    x, y = (np.array(v) for v in zip(*pairs))
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        assert dsc.pearson_corr(x, y) is None
+        return
+    dx, dy = x - x.mean(), y - y.mean()
+    expected = max(-1.0, min(1.0, float(dx @ dy) / math.sqrt(dx @ dx) / math.sqrt(dy @ dy)))
+    assert dsc.pearson_corr(x.tolist(), tuple(y)) == expected

@@ -9,6 +9,7 @@ from replimeta.descriptives import AnalysisWarning
 from replimeta.effects import EffectSize
 from replimeta.meta import (forest_model, meta_regression, pool_fixed, pool_random,
                             subgroup_analysis)
+from replimeta.numerics import normal_quantile
 
 scipy_stats = pytest.importorskip("scipy.stats")
 scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -267,3 +268,25 @@ def test_forest_model_rejects_effects_in_another_order():
     effects = [effect("A", 0.0, 0.5), effect("B", 1.0, 0.25), effect("C", 3.0, 0.25)]
     with pytest.raises(ValueError, match="do not match"):
         forest_model(effects[::-1], pool_random(effects, "dl"))
+
+
+def test_forest_rows_are_bit_identical_to_per_effect_arithmetic():
+    rng = np.random.default_rng(17)
+    effects = [effect(f"S{i}", float(d), float(v)) for i, (d, v) in
+               enumerate(zip(rng.normal(0.4, 0.5, 60), rng.uniform(0.01, 0.6, 60)))]
+    meta = pool_fixed(effects)
+    z975 = normal_quantile(0.975)
+    expected = tuple((e.experiment_id, e.d, e.d - z975 * math.sqrt(e.variance),
+                      e.d + z975 * math.sqrt(e.variance), 100.0 * w)
+                     for e, w in zip(effects, meta.weights))
+    rows = forest_model(effects, meta).rows
+    assert rows == expected
+    assert all(type(value) is float for row in rows for value in row[1:])
+
+
+def test_meta_regression_needs_every_moderator():
+    effects = [effect("A", 0.1, 0.1, 1.0), effect("B", 0.2, 0.1, None), effect("C", 0.5, 0.2, 3.0)]
+    with pytest.raises(ValueError, match="every effect size needs a moderator value"):
+        meta_regression(effects)
+    with pytest.raises(ValueError, match="moderator is constant"):
+        meta_regression([effect(n, 0.1 * i, 0.1, 2) for i, n in enumerate("ABC")])

@@ -237,6 +237,7 @@ def test_wls_duplicated_rows_equal_summed_weights(seed):
 # ---------------------------------------------------------------------------
 
 scipy_stats = pytest.importorskip("scipy.stats")
+scipy_special = pytest.importorskip("scipy.special")
 
 
 def test_distributions_against_scipy():
@@ -251,14 +252,59 @@ def test_distributions_against_scipy():
 
 
 def test_t_quantile_against_scipy_grid():
-    # log-spaced in df and in the smaller tail q, both tails; the incomplete
-    # beta itself is good to about 3e-9 beyond df = 1e4
+    # log-spaced in df and in the smaller tail q, both tails
     for df in [1.0, *np.logspace(np.log10(0.5), 6, 25)]:
-        rtol = 1e-10 if df <= 1e4 else 1e-8
+        rtol = 1e-12
         for q in np.logspace(-12, np.log10(0.45), 25):
             for p in (q, 1.0 - q):
                 expected = scipy_stats.t.ppf(p, df)
                 assert nm.t_quantile(p, df) == pytest.approx(expected, rel=rtol, abs=0), (p, df)
+
+
+def test_t_sf_against_scipy_grid_up_to_df_1e6():
+    # at large df, z = df/(df + x^2) lies within a few ulps of 1: the tail keeps
+    # its digits only with 1 - z formed directly, ln B(df/2, 1/2) free of two
+    # large lgamma values, and a continued fraction that subtracts nothing near 1
+    for df in [1.0, 2.0, *np.logspace(np.log10(0.5), 6, 31)]:
+        for x in [0.0, *np.logspace(-3, np.log10(40.0), 30)]:
+            for t in (x, -x):
+                expected = scipy_stats.t.sf(t, df)
+                # below 1e-300 scipy flushes tails that are still subnormal numbers
+                assert nm.t_sf(t, df) == pytest.approx(expected, rel=1e-12, abs=1e-300), (t, df)
+
+
+def test_t_sf_at_the_large_df_points_of_the_old_defect():
+    # lgamma(a + b) - lgamma(a) - lgamma(b) put these 1e-11 to 1.6e-9 off
+    for x, df in ((1.96, 1e4), (1.96, 1e6), (1.0, 1e6), (3.0, 1e5), (0.5, 1e6)):
+        assert nm.t_sf(x, df) == pytest.approx(scipy_stats.t.sf(x, df), rel=1e-14, abs=0)
+    assert nm.regularized_incomplete_beta(5e5, 0.5, 1e6 / (1e6 + 1.96 ** 2)) == pytest.approx(
+        scipy_special.betainc(5e5, 0.5, 1e6 / (1e6 + 1.96 ** 2)), rel=1e-10)
+
+
+def test_t_sf_extremes():
+    assert nm.t_sf(0.0, 3.0) == 0.5 and nm.t_sf(1e-200, 3.0) == 0.5
+    assert nm.t_sf(1e200, 3.0) == 0.0 and nm.t_sf(-1e200, 3.0) == 1.0
+    assert nm.t_sf(1e155, 3.0) == pytest.approx(scipy_stats.t.sf(1e155, 3.0), rel=1e-12)
+
+
+def test_regularized_incomplete_beta_against_scipy():
+    for a, b in ((0.5, 0.5), (0.5, 3.0), (2.0, 0.5), (7.5, 9.0), (40.0, 0.5), (0.5, 1e3), (300.0, 200.0)):
+        for x in (0.0, 1e-6, 0.01, 0.2, 0.5, 0.7, 0.99, 1.0):
+            assert nm.regularized_incomplete_beta(a, b, x) == pytest.approx(
+                scipy_special.betainc(a, b, x), rel=1e-12, abs=1e-300), (a, b, x)
+
+
+def test_regularized_incomplete_beta_closed_forms_near_one():
+    # I_x(1/2, 1/2) = (2/pi) asin(sqrt(x)); I_x(a, 1) = x^a; I_x(1, b) = 1 - (1 - x)^b,
+    # with 1 - x exact for x >= 1/2
+    for x in (0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 2.0 ** -40):
+        arcsine = (2.0 / math.pi * math.asin(math.sqrt(x)) if x <= 0.5
+                   else 1.0 - 2.0 / math.pi * math.asin(math.sqrt(1.0 - x)))
+        assert nm.regularized_incomplete_beta(0.5, 0.5, x) == pytest.approx(arcsine, rel=1e-14)
+        for a in (0.5, 3.0, 50.0):
+            assert nm.regularized_incomplete_beta(a, 1.0, x) == pytest.approx(x ** a, rel=1e-13)
+            assert nm.regularized_incomplete_beta(1.0, a, x) == pytest.approx(
+                -math.expm1(a * math.log1p(-x)), rel=1e-13)
 
 
 def test_t_quantile_df2_closed_form():
