@@ -73,11 +73,12 @@ def _beta_frac(a: float, b: float, x: float, y: float, lam: float) -> float:
     no step subtracts numbers near 1, so an x near 1 keeps its digits at large a."""
     c, yp1, xx, s = 1.0 + lam, y + 1.0, x * x, a + 1.0
     an, bn = 0.0, s / (a * c)  # convergents A_n and B_n, scaled so that B_(n+1) = 1
-    r = bn
-    for n in range(1, _MAX_ITER + 1):
+    r, n, p, q = bn, 0.0, a - 1.0, a + b - 1.0  # p = a + n - 1, q = a + b + n - 1
+    for _ in range(_MAX_ITER):
+        n, p, q = n + 1.0, p + 1.0, q + 1.0
         w = n * (b - n)
-        alpha = (a + (n - 1)) * (a + b + (n - 1)) * w * xx / (s * s)
-        beta = n + w * x / s + (a + n) * (c + n * yp1) / (s + 2.0)
+        alpha = p * q * w * xx / (s * s)
+        beta = n + w * x / s + (p + 1.0) * (c + n * yp1) / (s + 2.0)
         s += 2.0
         bnp1 = alpha * bn + beta
         an, bn, r0, r = r / bnp1, 1.0 / bnp1, r, (alpha * an + beta * r) / bnp1
@@ -188,9 +189,8 @@ def _t_tail(x: float, df: float, q: float, ln_beta: float) -> float:
     and ln_beta = ln B(df/2, 1/2).
 
     Where that continued fraction would be run on 1 - z instead, this takes
-    (1/2 - q) minus the central mass I_{1-z}(1/2, df/2) / 2: a subtraction
-    from 1/2 would drop the digits of a small x. Both z and 1 - z, which is
-    x^2/(df + x^2), are formed directly, so a z near 1 costs no digits.
+    (1/2 - q) minus the central mass I_{1-z}(1/2, df/2) / 2: a subtraction from
+    1/2 would drop the digits of a small x. 1 - z is formed as x^2/(df + x^2).
     """
     x2 = x * x
     z, y = df / (df + x2), x2 / (df + x2)
