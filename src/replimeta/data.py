@@ -80,10 +80,10 @@ class Replication:
     """One experiment's observations, laid out once as aligned arm arrays.
 
     ``participants`` holds the sorted participant ids; ``control`` and
-    ``treatment`` are float64 arrays over immutable bytes (read-only for good)
-    aligned with it, NaN where an outcome is missing or the participant has no
-    row for that arm. They are attributes, not fields: ``observations`` stays
-    the record of rows, and equality and repr use it.
+    ``treatment`` are views of read-only float64 arrays, so that they cannot be
+    made writeable, aligned with it, NaN where an outcome is missing or the
+    participant has no row for that arm. They are attributes, not fields:
+    ``observations`` stays the record of rows, and equality and repr use it.
     """
 
     experiment_id: str
@@ -109,8 +109,9 @@ class Replication:
         if np.count_nonzero(~(np.isnan(control) & np.isnan(treatment))) < 2:
             raise DataError(f"replication {self.experiment_id!r} needs at least 2 "
                             f"participants with a non-missing outcome")
-        control, treatment = (np.frombuffer(arm.tobytes()) for arm in (control, treatment))
-        self.__dict__.update(participants=tuple(participants), control=control, treatment=treatment)
+        control.flags.writeable = treatment.flags.writeable = False
+        self.__dict__.update(participants=tuple(participants),
+                             control=control[:], treatment=treatment[:])
 
     def _arm(self, treatment: str) -> np.ndarray:
         return {CONTROL: self.control, TREATMENT: self.treatment}[treatment]
@@ -297,8 +298,7 @@ def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[int, tup
 
 
 def _row_error(where: str, numbers: Iterable[tuple[str, str]], err: Exception) -> DataError:
-    """The error for a rejected row: the first (column, cell) of ``numbers`` that is not
-    a finite number, or not an integer in an integer column; else ``err``, the record's."""
+    """The error for a rejected row: its first bad (column, cell) in ``numbers``, else ``err``."""
     for what, cell in numbers:
         try:
             value = float(cell)

@@ -50,7 +50,7 @@ def sample_variance(values) -> float:
     if x.max() - x.min() == 0.0:
         return 0.0
     d = x - np.add.reduce(x) / x.size
-    return float(np.add.reduce(d * d) / (x.size - 1))
+    return float(np.add.reduce(np.multiply(d, d, out=d)) / (x.size - 1))
 
 
 def _median(values: np.ndarray) -> float:
