@@ -2,8 +2,12 @@
 heterogeneity statistics, subgroup analysis, meta-regression, and the
 forest-plot data model.
 
-The random-effects default is the DerSimonian-Laird moment estimator of the
-between-study variance. The restricted-maximum-likelihood (REML) estimator,
+Every pool and the meta-regression are one weighted least-squares fit of d,
+on an intercept alone or on an intercept and a centred moderator (`_fit`).
+The random-effects default is the moment estimator of the between-study
+variance built on that fit (`_tau2_mm`): DerSimonian-Laird without a
+moderator, and the meta-regression's residual tau^2 with one. The
+restricted-maximum-likelihood (REML) estimator,
 found as the bracketed root of its score, is also available and is the one
 subgroup pools use, where the moment estimator is known to understate
 heterogeneity for very small groups. Confidence intervals and p-values are
@@ -20,7 +24,7 @@ import numpy as np
 
 from .descriptives import AnalysisWarning
 from .effects import EffectSize
-from .numerics import chisq_sf, normal_quantile, wls_solve
+from .numerics import chisq_sf, normal_quantile
 
 __all__ = [
     "ForestPlotModel",
@@ -28,7 +32,6 @@ __all__ = [
     "MetaResult",
     "SubgroupResult",
     "forest_model",
-    "heterogeneity_label",
     "meta_regression",
     "pool_fixed",
     "pool_random",
@@ -38,6 +41,7 @@ __all__ = [
 FIXED = "fixed"
 RANDOM_DL = "random_dl"
 RANDOM_REML = "random_reml"
+_Z975 = normal_quantile(0.975)
 
 
 @dataclass(frozen=True)
@@ -61,27 +65,53 @@ class MetaResult:
         return len(self.weights)
 
 
-def _z_p(z: float) -> float:
-    """Two-sided normal p-value, from the upper tail so that it keeps its digits."""
-    return min(1.0, max(math.erfc(abs(z) / math.sqrt(2.0)), 1e-300))
+def _fit(d: np.ndarray, w: np.ndarray, x: np.ndarray | None = None
+         ) -> tuple[tuple[float, ...], tuple[float, ...], float, float | np.ndarray]:
+    """Weighted least-squares fit of d on an intercept, or on an intercept and
+    the moderator x, in closed form. With x centred at its weighted mean the
+    two columns are orthogonal under w, so nothing is solved and a moderator
+    far from 0 costs no digits.
+
+    Returns the coefficients, their SEs for known variances 1/w, the weighted
+    residual sum of squares Q and the leverages h_i = 1/sum(w) + (x_i - xbar)^2 / S,
+    a scalar without x.
+    """
+    sw = float(np.sum(w))
+    mean = float(np.sum(w * d) / sw)
+    r = d - mean
+    if x is None:
+        return (mean,), (1.0 / math.sqrt(sw),), float(np.sum(w * r ** 2)), 1.0 / sw
+    xbar = float(np.sum(w * x) / sw)
+    xc = x - xbar
+    # a second pass takes out the rounding of xbar, which would move h at first order
+    shift = float(np.sum(w * xc) / sw)
+    xc -= shift
+    xbar += shift
+    s = float(np.sum(w * xc ** 2))
+    slope = float(np.sum(w * xc * r) / s)
+    r -= slope * xc
+    return ((mean - slope * xbar, slope), (math.sqrt(1.0 / sw + xbar ** 2 / s), 1.0 / math.sqrt(s)),
+            float(np.sum(w * r ** 2)), 1.0 / sw + xc ** 2 / s)
 
 
-def _cochran_q(d: np.ndarray, v: np.ndarray) -> float:
-    """Cochran's Q from fixed (inverse-variance) weights."""
-    w = 1.0 / v
-    mu = float(np.sum(w * d) / np.sum(w))
-    return float(np.sum(w * (d - mu) ** 2))
-
-
-def _tau2_dl(d: np.ndarray, v: np.ndarray) -> float:
-    """DerSimonian-Laird moment estimator, truncated at zero."""
-    if len(d) < 2:
+def _tau2_mm(d: np.ndarray, v: np.ndarray, x: np.ndarray | None = None) -> float:
+    """Moment estimator of the (residual) between-study variance, truncated at
+    zero: (Q_E - df) / (sum w - sum w^2 h) from the fit with w = 1 / v. Without
+    x it is DerSimonian-Laird's; with x, the meta-regression one."""
+    df = len(d) - (1 if x is None else 2)
+    if df < 1:
         return 0.0
     w = 1.0 / v
-    c = float(np.sum(w) - np.sum(w * w) / np.sum(w))
-    if c <= 0.0:
-        return 0.0
-    return max(0.0, (_cochran_q(d, v) - (len(d) - 1)) / c)
+    _, _, q, h = _fit(d, w, x)
+    c = float(np.sum(w) - np.sum(w * w * h))
+    return max(0.0, (q - df) / c) if c > 0.0 else 0.0
+
+
+def _z_row(est: float, se: float) -> tuple[float, float, tuple[float, float], float]:
+    """Estimate, SE, 95 % z interval and two-sided p, the p from the upper
+    tail so that it keeps its digits."""
+    p = min(1.0, max(math.erfc(abs(est / se) / math.sqrt(2.0)), 1e-300))
+    return est, se, (est - _Z975 * se, est + _Z975 * se), p
 
 
 def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
@@ -104,9 +134,7 @@ def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
 
     def crit(tau2: float) -> float:
         w = 1.0 / (v + tau2)
-        mu = float(np.sum(w * d) / np.sum(w))
-        return float(np.sum(np.log(v + tau2)) + math.log(np.sum(w))
-                     + np.sum(w * (d - mu) ** 2))
+        return float(np.sum(np.log(v + tau2)) + math.log(np.sum(w)) + _fit(d, w)[2])
 
     top = max(10.0 * float(np.var(d, ddof=1)), 10.0 * float(np.max(v)), 1.0)
     width = 1e-12 * top
@@ -134,23 +162,18 @@ def _arrays(effects: list[EffectSize]) -> tuple[np.ndarray, np.ndarray, list[str
 
 
 def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], tau2: float, model: str) -> MetaResult:
-    q = _cochran_q(d, v)
+    q = _fit(d, 1.0 / v)[2]
     q_df = len(d) - 1
     q_p = chisq_sf(q, q_df) if q_df > 0 else 1.0
     i2 = max(0.0, (q - q_df) / q * 100.0) if q_df > 0 and q > 0 else 0.0
     w = 1.0 / (v + tau2)
-    sw = float(np.sum(w))
-    pooled = float(np.sum(w * d) / sw)
-    se = 1.0 / math.sqrt(sw)
-    z975 = normal_quantile(0.975)
-    z = pooled / se
+    (pooled,), (se,), _, _ = _fit(d, w)
+    _, _, (ci_low, ci_high), p = _z_row(pooled, se)
     return MetaResult(
-        pooled=pooled, se=se,
-        ci_low=pooled - z975 * se, ci_high=pooled + z975 * se,
-        p_value=_z_p(z),
+        pooled=pooled, se=se, ci_low=ci_low, ci_high=ci_high, p_value=p,
         tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2,
         model=model,
-        weights=tuple((w / sw).tolist()),
+        weights=tuple((w / np.sum(w)).tolist()),
         labels=tuple(labels),
     )
 
@@ -160,7 +183,7 @@ def pool_fixed(effects: list[EffectSize]) -> MetaResult:
     return _pool(*_arrays(list(effects)), 0.0, FIXED)
 
 
-_TAU2_ESTIMATORS = {"dl": (_tau2_dl, RANDOM_DL), "reml": (_tau2_reml, RANDOM_REML)}
+_TAU2_ESTIMATORS = {"dl": (_tau2_mm, RANDOM_DL), "reml": (_tau2_reml, RANDOM_REML)}
 
 
 def pool_random(effects: list[EffectSize], tau2_method: str = "dl") -> MetaResult:
@@ -176,17 +199,6 @@ def pool_random(effects: list[EffectSize], tau2_method: str = "dl") -> MetaResul
         warnings.warn("random-effects pool of a single study falls back to the "
                       "fixed-effect result with tau^2 = 0", AnalysisWarning)
     return _pool(d, v, ids, estimator(d, v), model)
-
-
-def heterogeneity_label(i2: float) -> str:
-    """Rule-of-thumb label for an I^2 percentage (25/50/75 thresholds)."""
-    if i2 < 25.0:
-        return "negligible"
-    if i2 < 50.0:
-        return "small"
-    if i2 < 75.0:
-        return "medium"
-    return "large"
 
 
 @dataclass(frozen=True)
@@ -219,11 +231,7 @@ def subgroup_analysis(effects: list[EffectSize]) -> SubgroupResult:
     difference = ci = p = None
     if len(results) == 2:
         a, b = results.values()
-        difference = b.pooled - a.pooled
-        se = math.hypot(a.se, b.se)
-        z975 = normal_quantile(0.975)
-        ci = (difference - z975 * se, difference + z975 * se)
-        p = _z_p(difference / se)
+        difference, _, ci, p = _z_row(b.pooled - a.pooled, math.hypot(a.se, b.se))
     return SubgroupResult(results, tuple(results), difference, ci, p)
 
 
@@ -253,30 +261,9 @@ def meta_regression(effects: list[EffectSize]) -> MetaRegressionResult:
         raise ValueError("every effect size needs a moderator value")
     if float(np.ptp(x)) == 0.0:
         raise ValueError("moderator is constant across studies")
-    design = np.column_stack([np.ones(len(d)), x])
-
-    # method-of-moments residual tau^2 from the fixed-weight fit
-    w = 1.0 / v
-    beta_f, xtwx_inv = wls_solve(design, d, w)
-    resid = d - design @ beta_f
-    q_e = float(np.sum(w * resid ** 2))
-    trace_term = float(np.trace(xtwx_inv @ (design.T @ (design * (w ** 2)[:, None]))))
-    c = float(np.sum(w)) - trace_term
-    df = len(d) - 2
-    tau2 = max(0.0, (q_e - df) / c) if c > 0 else 0.0
-
-    w_star = 1.0 / (v + tau2)
-    beta, cov = wls_solve(design, d, w_star)
-    ses = np.sqrt(np.diag(cov))
-    z975 = normal_quantile(0.975)
-
-    def row(i: int) -> tuple[float, float, tuple[float, float], float]:
-        est, se = float(beta[i]), float(ses[i])
-        return est, se, (est - z975 * se, est + z975 * se), _z_p(est / se)
-
-    b0, se0, ci0, p0 = row(0)
-    b1, se1, ci1, p1 = row(1)
-    return MetaRegressionResult(b0, se0, ci0, p0, b1, se1, ci1, p1, tau2)
+    tau2 = _tau2_mm(d, v, x)
+    (b0, b1), (se0, se1), _, _ = _fit(d, 1.0 / (v + tau2), x)
+    return MetaRegressionResult(*_z_row(b0, se0), *_z_row(b1, se1), tau2)
 
 
 @dataclass(frozen=True)
@@ -300,7 +287,7 @@ def forest_model(effects: list[EffectSize], meta: MetaResult) -> ForestPlotModel
     d, v, ids = _arrays(list(effects))
     if meta.labels != tuple(ids):
         raise ValueError("effects and meta-analysis weights do not match")
-    half = normal_quantile(0.975) * np.sqrt(v)  # np.sqrt is correctly rounded, as math.sqrt
+    half = _Z975 * np.sqrt(v)  # np.sqrt is correctly rounded, as math.sqrt
     rows = tuple(zip(ids, d.tolist(), (d - half).tolist(), (d + half).tolist(),
                      [100.0 * wt for wt in meta.weights]))
     return ForestPlotModel(rows, (meta.pooled, meta.ci_low, meta.ci_high),

@@ -1,10 +1,8 @@
-"""Numerical kernel: distribution functions, quantiles and weighted least
-squares.
+"""Numerical kernel: distribution functions and quantiles.
 
 Distribution functions are implemented on top of the regularized incomplete
 beta and gamma functions (continued fractions with series fallback), so the
-package carries no runtime dependency on scipy. numpy is used as the dense
-linear-algebra backend behind the interfaces defined here.
+package carries no runtime dependency on scipy.
 """
 
 from __future__ import annotations
@@ -13,11 +11,8 @@ import math
 import sys
 from statistics import NormalDist
 
-import numpy as np
-
 __all__ = [
     "chisq_sf",
-    "normal_cdf",
     "normal_quantile",
     "regularized_incomplete_beta",
     "regularized_upper_gamma",
@@ -25,7 +20,6 @@ __all__ = [
     "t_cdf",
     "t_quantile",
     "t_sf",
-    "wls_solve",
 ]
 
 _MAX_ITER = 300
@@ -39,15 +33,7 @@ _LN_SQRT_MAX = 0.5 * math.log(sys.float_info.max)
 # normal distribution
 # ---------------------------------------------------------------------------
 
-_SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = NormalDist()
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF, accurate to well below 1e-12."""
-    if not math.isfinite(x):
-        raise ValueError(f"normal_cdf requires finite x, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def normal_quantile(p: float) -> float:
@@ -250,7 +236,7 @@ def t_quantile(p: float, df: float) -> float:
     step that leaves the bracket is replaced by bisection. The search stops
     after a step below 1e-6 x, which leaves an error of order 1e-18 x, or
     when the residual stops shrinking. Against scipy the relative error is
-    below 1e-10 for df in [0.5, 1e6] and p in [1e-12, 1 - 1e-12].
+    below 1e-12 for df in [0.5, 1e6] and p in [1e-12, 1 - 1e-12].
     """
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df!r}")
@@ -320,36 +306,3 @@ def sqrt_of_ratio(num: int, den: int) -> float:
     shift = max(0, 112 - num.bit_length() + den.bit_length()) // 2
     root = math.isqrt((num << 2 * shift) // den)
     return (root | (root * root * den != num << 2 * shift)) / (1 << shift)
-
-
-# ---------------------------------------------------------------------------
-# weighted least squares
-# ---------------------------------------------------------------------------
-
-def wls_solve(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted least squares: minimize sum(w * (y - X b)**2).
-
-    Returns (coefficients, unscaled covariance (X'WX)^-1); callers apply
-    their own scale convention to the covariance.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if x.shape[0] != y.shape[0] or x.shape[0] != w.shape[0]:
-        raise ValueError("X, y, and w must have matching first dimensions")
-    sw = np.sqrt(w)
-    xw = x * sw[:, None]
-    yw = y * sw
-    xtx = xw.T @ xw
-    try:
-        l = np.linalg.cholesky(xtx)
-    except np.linalg.LinAlgError:
-        raise ValueError("design matrix is rank deficient after weighting") from None
-    beta = np.linalg.solve(l.T, np.linalg.solve(l, xw.T @ yw))
-    linv = np.linalg.solve(l, np.eye(l.shape[0]))
-    cov = linv.T @ linv
-    return beta, cov

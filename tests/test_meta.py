@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replimeta.descriptives import AnalysisWarning
 from replimeta.effects import EffectSize
@@ -72,6 +76,60 @@ def test_meta_regression_against_dense_wls(d):
     assert res.slope_ci == pytest.approx(slope_ci, rel=1e-9)
     p_ref = 2.0 * scipy_stats.norm.sf(np.abs(beta / ses))
     assert (res.intercept_p, res.slope_p) == pytest.approx(tuple(p_ref), rel=1e-9, abs=0)
+
+
+def exact_moment_meta_regression(d, v, x):
+    """Method-of-moments meta-regression in exact rational arithmetic, solving
+    the uncentred normal equations X'WX b = X'W d by Cramer's rule: returns
+    tau^2 and the slope refitted with weights 1 / (v + tau^2)."""
+    d, v, x = ([Fraction(float(t)) for t in a] for a in (d, v, x))
+
+    def solve(w):
+        s0, s1, s2 = sum(w), sum(wi * xi for wi, xi in zip(w, x)), sum(
+            wi * xi * xi for wi, xi in zip(w, x))
+        t0, t1 = sum(wi * di for wi, di in zip(w, d)), sum(
+            wi * xi * di for wi, xi, di in zip(w, x, d))
+        det = s0 * s2 - s1 * s1
+        return (s2 * t0 - s1 * t1) / det, (s0 * t1 - s1 * t0) / det, (s0, s1, s2, det)
+
+    w = [1 / vi for vi in v]
+    b0, b1, (s0, s1, s2, det) = solve(w)
+    q_e = sum(wi * (di - b0 - b1 * xi) ** 2 for wi, di, xi in zip(w, d, x))
+    # tr((X'WX)^-1 X'W^2 X) = sum w_i^2 x_i'(X'WX)^-1 x_i
+    trace = sum(wi * wi * (s2 - 2 * s1 * xi + s0 * xi * xi) / det for wi, xi in zip(w, x))
+    tau2 = max(Fraction(0), (q_e - (len(d) - 2)) / (sum(w) - trace))
+    return tau2, solve([1 / (vi + tau2) for vi in v])[1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_meta_regression_keeps_its_digits_for_a_moderator_far_from_zero(seed):
+    # x = 1e5 + U(0, 3): an uncentred Cholesky solve of X'WX lost 1e-7 to 2e-6
+    # of tau^2 and 6e-6 of the slope here, and centring once at a rounded
+    # weighted mean up to 6e-12 of tau^2
+    rng = np.random.default_rng(seed)
+    x = 1e5 + rng.uniform(0.0, 3.0, 12)
+    v = rng.uniform(0.02, 0.3, 12)
+    d = 0.3 * (x - 1e5) + rng.normal(0.0, 1.0, 12)
+    res = meta_regression([effect(f"S{i}", *row) for i, row in enumerate(zip(d, v, x))])
+    tau2, slope = exact_moment_meta_regression(d, v, x)
+    assert tau2 > 0
+    assert res.tau2 == pytest.approx(float(tau2), rel=1e-13, abs=0)
+    assert res.slope == pytest.approx(float(slope), rel=1e-13, abs=0)
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 100.0), st.booleans(), st.floats(-1e4, 1e4))
+@settings(max_examples=100, deadline=None)
+def test_meta_regression_under_affine_moderator(seed, a, negate, b):
+    # x -> a x + b leaves tau^2 as it is and scales the slope by 1 / a
+    a = -a if negate else a
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 3.0, 12)
+    v = rng.uniform(0.02, 0.3, 12)
+    d = 0.3 * x + rng.normal(0.0, 0.6, 12)
+    base, moved = (meta_regression([effect(f"S{i}", *row) for i, row in enumerate(zip(d, v, xs))])
+                   for xs in (x, a * x + b))
+    assert moved.tau2 == pytest.approx(base.tau2, rel=1e-8, abs=1e-12)
+    assert moved.slope == pytest.approx(base.slope / a, rel=1e-8, abs=1e-8 * base.slope_se / abs(a))
 
 
 def test_dl_pool_closed_form():
@@ -290,3 +348,34 @@ def test_meta_regression_needs_every_moderator():
         meta_regression(effects)
     with pytest.raises(ValueError, match="moderator is constant"):
         meta_regression([effect(n, 0.1 * i, 0.1, 2) for i, n in enumerate("ABC")])
+
+
+@pytest.fixture(scope="module")
+def many_effects():
+    rng = np.random.default_rng(4000)
+    k = 4000
+    return [effect(f"S{i}", d, v, x, "AB"[i % 2]) for i, (d, v, x) in
+            enumerate(zip(rng.normal(0.4, 0.5, k), rng.uniform(0.01, 0.6, k),
+                          rng.uniform(1.0, 7.0, k)))]
+
+
+@pytest.mark.parametrize("call", [
+    pool_fixed,
+    lambda effects: pool_random(effects, "dl"),
+    lambda effects: pool_random(effects, "reml"),
+    subgroup_analysis,
+    meta_regression,
+    lambda effects: forest_model(effects, pool_fixed(effects)),
+], ids=["pool_fixed", "pool_random_dl", "pool_random_reml", "subgroup_analysis",
+        "meta_regression", "forest_model"])
+def test_aggregated_data_paths_use_memory_linear_in_k(many_effects, call):
+    # the results themselves hold up to about 30 doubles per study; one k x k
+    # array would hold k of them
+    k = len(many_effects)
+    tracemalloc.start()
+    try:
+        call(many_effects)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 8 * k

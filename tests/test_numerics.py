@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replimeta import numerics as nm
+from replimeta.meta import _fit
 
 
 # ---------------------------------------------------------------------------
@@ -20,11 +21,6 @@ def simpson(f, a, b, n=4001):
     ys = np.array([f(x) for x in xs])
     h = (b - a) / (n - 1)
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
-
-
-def normal_cdf_quadrature(x):
-    """Integrate the standard normal density from far in the left tail."""
-    return simpson(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi), -12.0, x)
 
 
 def t_density(x, df):
@@ -55,35 +51,9 @@ def t_quantile_bisection(p, df):
 # normal distribution
 # ---------------------------------------------------------------------------
 
-def test_normal_cdf_at_zero():
-    assert nm.normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_normal_cdf_derived_value():
-    # frozen from the quadrature oracle: Phi(1.959964) = 0.975000001
-    assert normal_cdf_quadrature(1.959964) == pytest.approx(0.975, abs=1e-6)
-    assert nm.normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
-
-
-def test_normal_cdf_against_quadrature_grid():
-    for x in (-3.7, -1.2, -0.3, 0.4, 1.1, 2.9):
-        assert nm.normal_cdf(x) == pytest.approx(normal_cdf_quadrature(x), abs=1e-8)
-
-
-@given(st.floats(-8, 8))
-def test_normal_cdf_symmetry(x):
-    assert nm.normal_cdf(-x) == pytest.approx(1.0 - nm.normal_cdf(x), abs=1e-12)
-
-
-@given(st.floats(-30, 30), st.floats(-30, 30))
-def test_normal_cdf_monotone_bounded(a, b):
-    lo, hi = sorted((a, b))
-    assert 0.0 <= nm.normal_cdf(lo) <= nm.normal_cdf(hi) <= 1.0
-
-
 def test_normal_quantile_round_trip():
     for p in np.linspace(0.0005, 0.9995, 41):
-        assert nm.normal_cdf(nm.normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+        assert scipy_stats.norm.cdf(nm.normal_quantile(p)) == pytest.approx(p, abs=1e-12)
 
 
 def test_normal_quantile_known_point():
@@ -119,7 +89,7 @@ def test_t_cdf_against_quadrature():
 
 def test_t_cdf_large_df_approaches_normal():
     for x in (-2.0, -0.5, 0.7, 1.9):
-        assert nm.t_cdf(x, 1e6) == pytest.approx(nm.normal_cdf(x), abs=1e-4)
+        assert nm.t_cdf(x, 1e6) == pytest.approx(scipy_stats.norm.cdf(x), abs=1e-4)
 
 
 def test_t_cdf_known_closed_form_df2():
@@ -183,53 +153,50 @@ def test_chisq_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# weighted least squares
+# weighted least squares: the closed-form fit behind every pool and the
+# meta-regression
 # ---------------------------------------------------------------------------
 
 def test_wls_intercept_only_is_weighted_mean():
-    beta, _ = nm.wls_solve(np.ones((4, 1)), np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
-    assert beta[0] == pytest.approx(2.5)
+    (mean,), _, _, _ = _fit(np.array([1.0, 2.0, 3.0, 4.0]), np.ones(4))
+    assert mean == pytest.approx(2.5)
 
 
 def test_wls_weighted_mean_hand_value():
-    # hand computation: (1*1 + 3*3) / (1 + 3) = 2.5
-    beta, _ = nm.wls_solve(np.ones((2, 1)), np.array([1.0, 3.0]), np.array([1.0, 3.0]))
-    assert beta[0] == pytest.approx(2.5)
+    # hand computation: (1*1 + 3*3) / (1 + 3) = 2.5, Q = 1 (1.5)^2 + 3 (0.5)^2 = 3
+    (mean,), (se,), q, h = _fit(np.array([1.0, 3.0]), np.array([1.0, 3.0]))
+    assert (mean, se, q, h) == pytest.approx((2.5, 0.5, 3.0, 0.25))
 
 
 def test_wls_exact_line_zero_residuals():
-    x = np.column_stack([np.ones(3), np.array([0.0, 1.0, 2.0])])
-    y = np.array([1.0, 3.0, 5.0])
-    beta, _ = nm.wls_solve(x, y, np.array([1.0, 2.0, 0.5]))
-    assert np.allclose(x @ beta, y, atol=1e-12)
-
-
-def test_wls_rank_deficient_raises():
-    x = np.column_stack([np.ones(3), np.ones(3)])
-    with pytest.raises(ValueError, match="rank deficient"):
-        nm.wls_solve(x, np.array([1.0, 2.0, 3.0]), np.ones(3))
+    beta, _, q, _ = _fit(np.array([1.0, 3.0, 5.0]), np.array([1.0, 2.0, 0.5]),
+                         np.array([0.0, 1.0, 2.0]))
+    assert beta == pytest.approx((1.0, 2.0), rel=1e-12)
+    assert q == pytest.approx(0.0, abs=1e-24)
 
 
 def test_wls_covariance_matches_inverse():
     rng = np.random.default_rng(5)
     x = np.column_stack([np.ones(9), rng.standard_normal(9)])
     w = rng.uniform(0.5, 2.0, size=9)
-    _, cov = nm.wls_solve(x, rng.standard_normal(9), w)
-    assert np.allclose(cov, np.linalg.inv(x.T @ np.diag(w) @ x), atol=1e-10)
+    _, se, _, h = _fit(rng.standard_normal(9), w, x[:, 1])
+    cov = np.linalg.inv(x.T @ np.diag(w) @ x)
+    assert np.allclose(se, np.sqrt(np.diag(cov)), atol=1e-10)
+    assert np.allclose(h, np.einsum("ij,jk,ik->i", x, cov, x), atol=1e-10)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_wls_duplicated_rows_equal_summed_weights(seed):
     rng = np.random.default_rng(seed)
-    x = np.column_stack([np.ones(5), rng.standard_normal(5)])
+    x = rng.standard_normal(5)
     y = rng.standard_normal(5)
     w = rng.uniform(0.1, 1.5, size=5)
-    beta_dup, _ = nm.wls_solve(np.vstack([x, x[2:3]]), np.append(y, y[2]), np.append(w, w[2]))
+    beta_dup, se_dup, q_dup, _ = _fit(np.append(y, y[2]), np.append(w, w[2]), np.append(x, x[2]))
     w2 = w.copy()
     w2[2] *= 2.0
-    beta_sum, _ = nm.wls_solve(x, y, w2)
-    assert np.allclose(beta_dup, beta_sum, atol=1e-9)
+    beta_sum, se_sum, q_sum, _ = _fit(y, w2, x)
+    assert np.allclose(beta_dup + se_dup + (q_dup,), beta_sum + se_sum + (q_sum,), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +208,6 @@ scipy_special = pytest.importorskip("scipy.special")
 
 
 def test_distributions_against_scipy():
-    for x in (-2.5, -0.7, 0.0, 1.3, 3.1):
-        assert nm.normal_cdf(x) == pytest.approx(scipy_stats.norm.cdf(x), abs=1e-12)
     for x, df in ((0.8, 3), (-1.7, 5.5), (2.4, 11), (6.5, 28)):
         assert nm.t_cdf(x, df) == pytest.approx(scipy_stats.t.cdf(x, df), abs=1e-10)
     for p, df in ((0.025, 4), (0.6, 17), (0.975, 5), (0.995, 2)):
