@@ -60,10 +60,6 @@ class MetaResult:
     weights: tuple[float, ...]  # normalized, same order as the input effects
     labels: tuple[str, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.weights)
-
 
 def _fit(d: np.ndarray, w: np.ndarray, x: np.ndarray | None = None
          ) -> tuple[tuple[float, ...], tuple[float, ...], float, float | np.ndarray]:
