@@ -103,8 +103,8 @@ def exact_moment_meta_regression(d, v, x):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_meta_regression_keeps_its_digits_for_a_moderator_far_from_zero(seed):
-    # x = 1e5 + U(0, 3): an uncentred Cholesky solve of X'WX lost 1e-7 to 2e-6
-    # of tau^2 and 6e-6 of the slope here, and centring once at a rounded
+    # x = 1e5 + U(0, 3): an uncentred Cholesky solve of X'WX lost 2e-8 to 2e-6
+    # of tau^2 and up to 1e-5 of the slope here, and centring once at a rounded
     # weighted mean up to 6e-12 of tau^2
     rng = np.random.default_rng(seed)
     x = 1e5 + rng.uniform(0.0, 3.0, 12)
