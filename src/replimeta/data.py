@@ -11,7 +11,6 @@ to share.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -123,12 +122,6 @@ class Replication:
         """Non-missing outcomes of one arm, ordered by participant id."""
         arm = self._arm(treatment)
         return arm[~np.isnan(arm)].tolist()
-
-    def outcome_of(self, participant_id: str, treatment: str) -> float | None:
-        i = bisect.bisect_left(self.participants, participant_id)
-        found = i < len(self.participants) and self.participants[i] == participant_id
-        value = float(self._arm(treatment)[i]) if found else math.nan
-        return None if math.isnan(value) else value
 
     def paired_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Control and treatment outcomes of the participants with both,

@@ -49,10 +49,6 @@ class EffectSize:
         f["subgroup_label"] = subgroup_label
         f["moderator_x"] = moderator_x
 
-    @property
-    def se(self) -> float:
-        return math.sqrt(self.variance)
-
 
 def repeated_measures_d(row: SummaryRow, n_pairs: int | None = None) -> EffectSize:
     """Standardized mean difference for a within-subjects row.

@@ -7,11 +7,11 @@ on an intercept alone or on an intercept and a centred moderator (`_fit`).
 The random-effects default is the moment estimator of the between-study
 variance built on that fit (`_tau2_mm`): DerSimonian-Laird without a
 moderator, and the meta-regression's residual tau^2 with one. The
-restricted-maximum-likelihood (REML) estimator,
-found as the bracketed root of its score, is also available and is the one
-subgroup pools use, where the moment estimator is known to understate
-heterogeneity for very small groups. Confidence intervals and p-values are
-z-based throughout.
+restricted-maximum-likelihood (REML) estimator is also available and is the
+one subgroup pools use, where the moment estimator is known to understate
+heterogeneity for very small groups. It is the root of its score, bracketed
+by a vectorized scan and closed by one Illinois root finder (`_root`).
+Confidence intervals and p-values are z-based throughout.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ FIXED = "fixed"
 RANDOM_DL = "random_dl"
 RANDOM_REML = "random_reml"
 _Z975 = normal_quantile(0.975)
+_HALVINGS = np.array([0.5 ** j for j in range(40)])  # REML's grid: 2^-39 > 1e-12 > 2^-40
 
 
 @dataclass(frozen=True)
@@ -110,43 +111,67 @@ def _z_row(est: float, se: float) -> tuple[float, float, tuple[float, float], fl
     return est, se, (est - _Z975 * se, est + _Z975 * se), p
 
 
+def _root(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """A root of f in [lo, hi], given f_lo = f(lo) != 0 and f_hi = f(hi) of the
+    other sign or 0, by the Illinois method (Dowell & Jarratt 1971): regula falsi
+    that halves the value kept at an end left in place twice running. A step
+    that leaves the bracket becomes a bisection, and every step stays two ulps
+    inside it, so the bracket closes to four ulps around the root."""
+    moved = 0  # the end that moved last: -1 for lo, 1 for hi
+    while True:
+        tol = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+        if hi - lo <= 2.0 * tol:
+            return 0.5 * (lo + hi)
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo <= x <= hi:
+            x = 0.5 * (lo + hi)
+        x = min(max(x, lo + tol), hi - tol)
+        fx = float(f(x))
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo, f_hi, moved = x, fx, 0.5 * f_hi if moved < 0 else f_hi, -1
+        else:
+            hi, f_hi, f_lo, moved = x, fx, 0.5 * f_lo if moved > 0 else f_lo, 1
+
+
 def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
     """REML tau^2 (Viechtbauer 2005): the root of the score y'PPy - tr(P) =
     sum((w (d - mu))^2) - sum(w) + sum(w^2) / sum(w), w = 1 / (v + tau^2).
 
-    Halving down from top = max(10 var d, 10 max v, 1) to the first positive
-    score keeps an interior maximum even where the likelihood also peaks at 0.
-    Bisection then fixes the root to 1e-12 top by signs alone, so a last-bit
-    change in the data does not move it. Returns 0 when no score above
-    1e-12 top is positive, or when the criterion at 0 is no worse."""
+    The score is scanned on the halving grid from top = max(10 var d, 10 max v,
+    1) down to 1e-12 top, eight points to a numpy pass. The first positive point
+    and the one above it bracket the root, which keeps an interior maximum even
+    where the likelihood also peaks at 0. `_root` closes the bracket to a few
+    ulps, so a last-bit change in the data does not move tau^2. Returns top if its
+    score is positive, and 0 if no grid point's is or the criterion at 0 is no worse."""
     if len(d) < 2:
         return 0.0
+    one = np.ones(len(d))
 
-    def score(tau2: float) -> float:
+    def fit(tau2):  # tau2 a float, or a column with one value per row
         w = 1.0 / (v + tau2)
-        sw = float(w.sum())
-        r = w * (d - float(w @ d) / sw)
-        return float(r @ r - sw + (w @ w) / sw)
+        sw = w @ one
+        return w, sw, d - (w @ d / sw)[..., None]
 
-    def crit(tau2: float) -> float:
-        w = 1.0 / (v + tau2)
-        return float(np.sum(np.log(v + tau2)) + math.log(np.sum(w)) + _fit(d, w)[2])
+    def score(tau2):
+        w, sw, e = fit(tau2)
+        return (w * e) ** 2 @ one - sw + (w * w) @ one / sw
 
     top = max(10.0 * float(np.var(d, ddof=1)), 10.0 * float(np.max(v)), 1.0)
-    width = 1e-12 * top
-    lo = hi = top
-    while score(lo) <= 0.0:
-        hi, lo = lo, 0.5 * lo
-        if lo <= width:
-            return 0.0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if score(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    tau2 = 0.5 * (lo + hi)
-    return 0.0 if crit(0.0) <= crit(tau2) else tau2
+    grid, s = top * _HALVINGS, []  # s: the score down the grid
+    for i in range(0, 40, 8):
+        s += score(grid[i:i + 8, None]).tolist()
+        if max(s[i:]) > 0.0:
+            break
+    else:
+        return 0.0
+    j = next(j for j, sj in enumerate(s) if sj > 0.0)
+    tau2 = top if j == 0 else _root(score, float(grid[j]), s[j], float(grid[j - 1]), s[j - 1])
+    t = np.array([[0.0], [tau2]])
+    w, sw, e = fit(t)
+    crit = np.log(v + t) @ one + np.log(sw) + (w * e * e) @ one
+    return 0.0 if crit[0] <= crit[1] else tau2
 
 
 def _arrays(effects: list[EffectSize]) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -272,14 +297,10 @@ class ForestPlotModel:
     i2: float
     tau2: float
 
-    def caption(self) -> str:
-        return (f"Q = {self.q:.2f} (df = {self.q_df}, p = {self.q_p:.3f}), "
-                f"I² = {self.i2:.1f}%, τ² = {self.tau2:.3f}")
-
 
 def forest_model(effects: list[EffectSize], meta: MetaResult) -> ForestPlotModel:
     """Per-study rows (z-based CIs) plus the pooled diamond and heterogeneity
-    caption; weight percentages come from the MetaResult."""
+    statistics; weight percentages come from the MetaResult."""
     d, v, ids = _arrays(list(effects))
     if meta.labels != tuple(ids):
         raise ValueError("effects and meta-analysis weights do not match")

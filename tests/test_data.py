@@ -69,8 +69,9 @@ def test_missing_outcomes_preserved(tmp_path):
     text = RAW_MINIMAL + "E1,p3,control,\nE1,p3,treatment,30\n"
     ds = rd.load_raw_dataset(write(tmp_path / "raw.csv", text))
     rep = ds.replication("E1")
-    assert rep.outcome_of("p3", "control") is None
-    assert rep.outcome_of("p3", "treatment") == 30.0
+    i = rep.participants.index("p3")
+    assert math.isnan(rep.control[i])
+    assert rep.treatment[i] == 30.0
 
 
 def test_treatment_label_mapping(tmp_path):
@@ -326,8 +327,8 @@ def test_layout_aligns_arms_with_missing_and_absent_as_nan():
     assert rep.participants == ("p1", "p2", "p3")
     assert [None if math.isnan(v) else v for v in rep.control] == [1.0, None, 3.0]
     assert [None if math.isnan(v) else v for v in rep.treatment] == [None, 4.0, None]
-    assert rep.outcome_of("p2", rd.CONTROL) is None
-    assert rep.outcome_of("p9", rd.CONTROL) is None
+    assert math.isnan(rep.control[rep.participants.index("p2")])
+    assert "p9" not in rep.participants
     assert rep.observations == obs
 
 

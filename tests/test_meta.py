@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from replimeta.descriptives import AnalysisWarning
 from replimeta.effects import EffectSize
-from replimeta.meta import (forest_model, meta_regression, pool_fixed, pool_random,
+from replimeta.meta import (_root, forest_model, meta_regression, pool_fixed, pool_random,
                             subgroup_analysis)
 from replimeta.numerics import normal_quantile
 
@@ -222,6 +222,101 @@ def test_reml_finds_interior_maximum_beside_a_boundary_one(d, v, tau2):
     assert got == pytest.approx(tau2, rel=1e-5, abs=0)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_reml_tau2_is_the_root_of_the_projection_score(seed):
+    d, v = reml_case(seed)
+    got = reml_tau2(d, v)
+    if got == 0.0:  # a boundary maximum: the likelihood falls away from 0
+        assert projection_reml_score(0.0, d, v) < 0.0
+        return
+    root = scipy_optimize.brentq(projection_reml_score, got / 2, 2 * got, args=(d, v),
+                                 xtol=1e-300, rtol=1e-15)  # relative tolerance only
+    assert got == pytest.approx(root, rel=1e-13, abs=0)
+
+
+def root_of(f, lo, hi):
+    """_root on [lo, hi], and the points at which it evaluated f."""
+    points = []
+
+    def counted(x):
+        points.append(x)
+        return f(x)
+
+    return _root(counted, lo, f(lo), hi, f(hi)), points
+
+
+def brentq(f, lo, hi):
+    return scipy_optimize.brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
+
+
+def test_root_of_a_smooth_cubic():
+    def f(x):
+        return x ** 3 - 2.0 * x - 5.0  # Wallis's cubic, root near 2.0946
+
+    got, points = root_of(f, 2.0, 3.0)
+    assert abs(got - brentq(f, 2.0, 3.0)) <= 4 * math.ulp(got)
+    assert len(points) <= 12
+
+
+def test_root_moves_both_ends_where_one_side_is_flat():
+    # x^10 - 0.5 is flat below its root and steep above it: regula falsi keeps
+    # the upper end forever and creeps up from below
+    def f(x):
+        return x ** 10 - 0.5
+
+    got, points = root_of(f, 0.0, 1.5)
+    want = brentq(f, 0.0, 1.5)
+    assert abs(got - want) <= 4 * math.ulp(got)
+    assert min(points) < want < max(points) < 1.5
+    assert sum(x > want for x in points) >= 2  # the upper end moved more than once
+    assert len(points) <= 25
+
+
+def test_root_returns_an_exact_zero_at_once():
+    def f(x):  # 0 on [0.3, 0.32], steeper above than below
+        return min(x - 0.3, 0.0) + 10.0 * max(x - 0.32, 0.0)
+
+    got, points = root_of(f, 0.0, 1.0)
+    assert f(got) == 0.0 and got == points[-1]
+    assert len(points) >= 2  # the zero is hit mid-run, not by the first step
+    assert len(points) <= 12
+    assert f(brentq(f, 0.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("near", ["lo", "hi"])
+def test_root_a_few_ulps_from_an_end(near):
+    r = 1.0 + 3 * math.ulp(1.0) if near == "lo" else 2.0 - 3 * math.ulp(2.0)
+
+    def f(x):
+        return x - r
+
+    got, points = root_of(f, 1.0, 2.0)
+    assert abs(got - brentq(f, 1.0, 2.0)) <= 4 * math.ulp(got)
+    assert abs(got - r) <= 2 * math.ulp(r)
+    assert len(points) <= 4
+
+
+def test_root_steps_off_an_end_whose_value_is_nearly_zero():
+    # the secant step lands on hi itself, where f is -1e-300 and not 0; only
+    # the two-ulp clearance moves the next point off it
+    def f(x):
+        return (1.0 - x) - 1e-300
+
+    got, points = root_of(f, 0.0, 1.0)
+    assert abs(got - brentq(f, 0.0, 1.0)) <= 4 * math.ulp(got)
+    assert len(points) <= 4
+
+
+def test_root_bisects_when_the_secant_step_is_undefined():
+    def f(x):  # infinite at the upper end, so the first secant step is inf / inf
+        return x - 0.3 if x < 1.0 else math.inf
+
+    got, points = root_of(f, 0.0, 1.0)
+    assert points[0] == 0.5
+    assert abs(got - 0.3) <= 4 * math.ulp(0.3)
+    assert len(points) <= 6
+
+
 def reml_grid_reference(d, v):
     """Minimize -2 x the restricted log-likelihood on a 257-point grid over the
     program's search range, refine between the best point's neighbours with a
@@ -311,8 +406,9 @@ def test_forest_model_rows_and_diamond():
     z975 = scipy_stats.norm.ppf(0.975)
     for row, e, w in zip(model.rows, effects, meta.weights):
         label, d, lo, hi, pct = row
+        se = math.sqrt(e.variance)
         assert (label, d) == (e.experiment_id, e.d)
-        assert (lo, hi) == pytest.approx((e.d - z975 * e.se, e.d + z975 * e.se), rel=1e-9)
+        assert (lo, hi) == pytest.approx((e.d - z975 * se, e.d + z975 * se), rel=1e-9)
         assert pct == pytest.approx(100.0 * w, rel=1e-12)
     assert sum(row[4] for row in model.rows) == pytest.approx(100.0, rel=1e-12)
     assert model.diamond == (meta.pooled, meta.ci_low, meta.ci_high)
