@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -228,16 +227,18 @@ class CovariateRow:
     experiment_id: str
     participant_id: str
     subject_type: str
-    values: Mapping[str, int]  # ordinal 1..4 per covariate name; kept as a read-only copy
+    values: tuple[int, ...]  # one ordinal in 1..4 per name in ORDINAL_COVARIATES, in that order
 
     def __post_init__(self):
-        object.__setattr__(self, "values", values := MappingProxyType(dict(self.values)))
+        object.__setattr__(self, "values", values := tuple(self.values))
         if self.subject_type not in SUBJECT_TYPES:
             raise DataError(f"unknown subject_type {self.subject_type!r} "
                             f"({self.experiment_id}/{self.participant_id})")
-        for name in ORDINAL_COVARIATES:
-            v = values.get(name)
-            if v is None or not 1 <= v <= 4:
+        if len(values) != len(ORDINAL_COVARIATES):
+            raise DataError(f"expected one value for each of {ORDINAL_COVARIATES}, got "
+                            f"{values!r} ({self.experiment_id}/{self.participant_id})")
+        for name, v in zip(ORDINAL_COVARIATES, values):
+            if type(v) is not int or not 1 <= v <= 4:
                 raise DataError(f"{name} must be an integer in 1..4, got {v!r} "
                                 f"({self.experiment_id}/{self.participant_id})")
 
@@ -394,7 +395,11 @@ def save_summary_dataset(rows: Iterable[SummaryRow], path: str | Path) -> None:
 
 def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> CovariateTable:
     """Load participant covariates; validates referential integrity when the
-    raw dataset is supplied (orphan participant references are errors)."""
+    raw dataset is supplied (orphan participant references are errors).
+
+    Each row's ``values`` is a tuple of four ints in 1..4, one per name in
+    ``ORDINAL_COVARIATES`` and in that order, whatever the column order of
+    the file."""
     path = Path(path)
     # participant ids per experiment: no tuple per participant for the collector to walk
     known = None if dataset is None else {r.experiment_id: set(r.participants)
@@ -411,11 +416,11 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
             raise DataError(f"{path}:{line}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")
         try:  # CovariateRow rejects values outside 1..4; int() a non-finite one
-            floats = list(map(float, ordinals))
-            ints = list(map(int, floats))
+            floats = tuple(map(float, ordinals))
+            ints = tuple(map(int, floats))
             if ints != floats:
                 raise ValueError("fractional ordinal")
-            row = CovariateRow(exp, pid, subject_type.strip(), dict(zip(ORDINAL_COVARIATES, ints)))
+            row = CovariateRow(exp, pid, subject_type.strip(), ints)
         except (ValueError, OverflowError) as err:
             raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, ordinals), err) from None
         rows.append(row)

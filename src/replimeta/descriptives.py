@@ -1,5 +1,8 @@
 """Per-replication and participant-characteristic descriptive statistics,
-plus the data series behind profile plots."""
+plus the data series behind profile plots.
+
+Each function computes from the validated records on every call and leaves
+them unchanged; a degenerate input warns with AnalysisWarning on every call."""
 
 from __future__ import annotations
 
@@ -69,42 +72,35 @@ def pearson_corr(x, y) -> float | None:
     return max(-1.0, min(1.0, r))
 
 
-def _once(record, summarize):
-    """summarize(record) -> (result, warning messages), run once per immutable record
-    and kept in its instance dict; each call emits the warnings again. No exception is kept."""
-    memo = record.__dict__.get("_summary") or record.__dict__.setdefault("_summary", summarize(record))
-    for message in memo[1]:
-        warnings.warn(message, AnalysisWarning)
-    return memo[0]
-
-
-def summarize_replication(replication: Replication) -> SummaryRow:
-    """Per-arm n/mean/sd/median plus the complete-pairs correlation for
-    within-subjects designs, computed once per replication.
-
-    The correlation uses complete pairs only, consistent with the
-    complete-observation rule of the aggregated-data path. When either paired
-    arm is constant, or fewer than 2 complete pairs exist, the correlation is
-    undefined and reported as missing.
-    """
-    return _once(replication, _summarize_replication)
-
-
-def _summarize_replication(replication: Replication) -> tuple[SummaryRow, tuple[str, ...]]:
+def _observed_arms(replication: Replication) -> tuple[np.ndarray, np.ndarray]:
+    """The non-missing control and treatment outcomes, ordered by participant id."""
     control, treatment = (arm[~np.isnan(arm)]
                           for arm in (replication.control, replication.treatment))
     if control.size < 2 or treatment.size < 2:
         raise ValueError(f"{replication.experiment_id}: need at least 2 non-missing "
                          f"outcomes per arm")
-    corr, messages = None, ()
+    return control, treatment
+
+
+def summarize_replication(replication: Replication) -> SummaryRow:
+    """Per-arm n/mean/sd/median plus the complete-pairs correlation for
+    within-subjects designs.
+
+    The correlation uses complete pairs only, consistent with the
+    complete-observation rule of the aggregated-data path. When either paired
+    arm is constant, or fewer than 2 complete pairs exist, the correlation is
+    undefined: it is reported as missing and each call warns.
+    """
+    control, treatment = _observed_arms(replication)
+    corr = None
     if replication.design == "within":
         paired_c, paired_t = replication.paired_values()
         corr = pearson_corr(paired_c, paired_t)
         if corr is None:
             reason = ("fewer than 2 complete pairs" if paired_c.size < 2
                       else "constant paired arm")
-            messages = (f"{replication.experiment_id}: paired correlation undefined "
-                        f"({reason}); reported as missing",)
+            warnings.warn(f"{replication.experiment_id}: paired correlation undefined "
+                          f"({reason}); reported as missing", AnalysisWarning)
     return SummaryRow(
         experiment_id=replication.experiment_id,
         n_control=control.size,
@@ -117,7 +113,7 @@ def _summarize_replication(replication: Replication) -> tuple[SummaryRow, tuple[
         design=replication.design,
         median_control=_median(control),
         median_treatment=_median(treatment),
-    ), messages
+    )
 
 
 @dataclass(frozen=True)
@@ -134,26 +130,22 @@ class CovariateSummary:
 
 def summarize_covariates(covariates: CovariateTable) -> list[CovariateSummary]:
     """Mean (sd) of each ordinal covariate per experiment, in order of first
-    appearance, computed once per table."""
-    return list(_once(covariates, _summarize_covariates))
-
-
-def _summarize_covariates(covariates: CovariateTable) -> tuple[tuple, tuple[str, ...]]:
+    appearance. An experiment with a single row gets sd 0, and each call warns."""
     if not covariates.rows:
         raise ValueError("covariate table is empty")
-    groups: dict[str, list[list[int]]] = {}
+    groups: dict[str, list[tuple[int, ...]]] = {}
     for r in covariates.rows:
-        groups.setdefault(r.experiment_id, []).append([r.values[n] for n in ORDINAL_COVARIATES])
-    summaries, messages = [], []
+        groups.setdefault(r.experiment_id, []).append(r.values)
+    summaries = []
     for exp, rows in groups.items():
         if (n := len(rows)) < 2:
-            messages.append(f"{exp}: single covariate row; sd reported as 0")
+            warnings.warn(f"{exp}: single covariate row; sd reported as 0", AnalysisWarning)
         ordinals = np.array(rows, dtype=np.int64)  # (participants, covariates), exact sums
         sums, squares = ordinals.sum(axis=0).tolist(), (ordinals * ordinals).sum(axis=0).tolist()
         stats = {name: (s / n, sqrt_of_ratio(n * q - s * s, max(n * (n - 1), 1)))
                  for name, s, q in zip(ORDINAL_COVARIATES, sums, squares)}
         summaries.append(CovariateSummary(exp, MappingProxyType(stats)))
-    return tuple(summaries), tuple(messages)
+    return summaries
 
 
 @dataclass(frozen=True)
@@ -177,6 +169,6 @@ def profile_series_covariates(covariates: CovariateTable) -> ProfileSeries:
 
 
 def profile_series_outcomes(dataset: ReplicationSet) -> ProfileSeries:
-    summaries = [summarize_replication(rep) for rep in dataset.replications]
-    rows = tuple((s.experiment_id, (s.mean_control, s.mean_treatment)) for s in summaries)
+    rows = tuple((rep.experiment_id, tuple(map(sample_mean, _observed_arms(rep))))
+                 for rep in dataset.replications)
     return ProfileSeries("mean outcome", (CONTROL, TREATMENT), rows)

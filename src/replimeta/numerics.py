@@ -14,8 +14,6 @@ from statistics import NormalDist
 __all__ = [
     "chisq_sf",
     "normal_quantile",
-    "regularized_incomplete_beta",
-    "regularized_upper_gamma",
     "sqrt_of_ratio",
     "t_cdf",
     "t_quantile",
@@ -107,15 +105,6 @@ def _incomplete_beta(a: float, b: float, x: float, y: float, ln_beta: float) -> 
     return 1.0 - front * _beta_frac(b, a, y, x, -lam)
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    return _incomplete_beta(a, b, x, 1.0 - x, _ln_beta(a, b))
-
-
 def _gamma_series(s: float, x: float) -> float:
     """Series expansion of the regularized lower incomplete gamma P(s, x)."""
     term = 1.0 / s
@@ -151,19 +140,6 @@ def _gamma_cont_frac(s: float, x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise ArithmeticError(f"incomplete gamma continued fraction failed for s={s}, x={x}")
-
-
-def regularized_upper_gamma(s: float, x: float) -> float:
-    """Q(s, x) = 1 - P(s, x), computed without cancellation for large x."""
-    if s <= 0:
-        raise ValueError(f"shape must be positive, got {s!r}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_series(s, x)
-    return _gamma_cont_frac(s, x)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +267,18 @@ def t_quantile(p: float, df: float) -> float:
 
 
 def chisq_sf(x: float, df: float) -> float:
-    """Survival function P(X > x) of the chi-square distribution."""
+    """Survival function P(X > x) of the chi-square distribution: the regularized
+    upper gamma Q(df/2, x/2), computed without cancellation for large x."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df!r}")
     if x < 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x!r}")
-    return regularized_upper_gamma(0.5 * df, 0.5 * x)
+    s, x = 0.5 * df, 0.5 * x
+    if x == 0.0:
+        return 1.0
+    if x < s + 1.0:
+        return 1.0 - _gamma_series(s, x)
+    return _gamma_cont_frac(s, x)
 
 
 def sqrt_of_ratio(num: int, den: int) -> float:

@@ -240,7 +240,7 @@ def test_load_covariates_ok(tmp_path):
     text = COV_HEADER + "E1,p1,professional,3,2,2,1\nE1,p2,student,4,3,2,2\n"
     table = rd.load_covariates(write(tmp_path / "c.csv", text), make_dataset())
     assert len(table.rows) == 2
-    assert table.rows[0].values["programming"] == 3
+    assert table.rows[0].values[0] == 3  # programming
 
 
 def test_covariate_range_error(tmp_path):
@@ -436,7 +436,7 @@ def test_covariate_loader_reads_header_in_any_order(tmp_path, order):
     expected = rd.load_covariates(write(tmp_path / "a.csv", text), make_dataset())
     permuted = write(tmp_path / "b.csv", permuted_csv(text, order))
     assert rd.load_covariates(permuted, make_dataset()) == expected
-    assert expected.rows[1].values == {"programming": 4, "java": 3, "unit_testing": 1, "junit": 2}
+    assert expected.rows[1].values == (4, 3, 1, 2)
 
 
 def test_permuted_header_keeps_line_numbers_in_messages(tmp_path):
@@ -451,22 +451,34 @@ def test_permuted_header_keeps_line_numbers_in_messages(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_covariate_values_are_a_read_only_copy():
-    values = {"programming": 4, "java": 2, "unit_testing": 2, "junit": 1}
+    values = [4, 2, 2, 1]
     row = rd.CovariateRow("E1", "p1", "student", values)
     with pytest.raises(TypeError):
-        row.values["java"] = 9
-    values["java"] = 9  # the caller's dict is not the row's
-    assert row.values == {"programming": 4, "java": 2, "unit_testing": 2, "junit": 1}
+        row.values[1] = 9
+    values[1] = 9  # the caller's list is not the row's
+    assert row.values == (4, 2, 2, 1)
     assert dataclasses.replace(row, subject_type="professional").values == row.values
     with pytest.raises(dataclasses.FrozenInstanceError):
         row.values = values
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"programming": 4, "java": 2, "unit_testing": 2, "junit": 1},
+     "programming must be an integer in 1..4, got 'programming'"),
+    ((4, 2, 2), r"expected one value for each of .*, got \(4, 2, 2\)"),
+    ((4, 2.5, 2, 1), "java must be an integer in 1..4, got 2.5"),
+    ((4, 2, 2, 5), "junit must be an integer in 1..4, got 5"),
+])
+def test_covariate_row_rejects_values_that_are_not_four_ordinals(values, message):
+    with pytest.raises(rd.DataError, match=message + r" \(E1/p1\)$"):
+        rd.CovariateRow("E1", "p1", "student", values)
 
 
 def test_loaded_covariates_cannot_be_edited_after_validation(tmp_path):
     text = COV_HEADER + "E1,p1,professional,3,2,2,1\nE1,p2,student,4,3,1,2\n"
     table = rd.load_covariates(write(tmp_path / "c.csv", text), make_dataset())
     with pytest.raises(TypeError):
-        table.rows[0].values["java"] = 9
+        table.rows[0].values[1] = 9
     from replimeta.descriptives import summarize_covariates
     assert summarize_covariates(table)[0].mean("java") == 2.5
 

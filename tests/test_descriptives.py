@@ -132,14 +132,10 @@ def test_corr_affine_invariance(a, b):
 
 def cov_table():
     rows = [
-        rd.CovariateRow("E1", "p1", "professional",
-                        {"programming": 4, "java": 2, "unit_testing": 2, "junit": 1}),
-        rd.CovariateRow("E1", "p2", "professional",
-                        {"programming": 3, "java": 3, "unit_testing": 2, "junit": 2}),
-        rd.CovariateRow("E2", "q1", "student",
-                        {"programming": 2, "java": 2, "unit_testing": 2, "junit": 2}),
-        rd.CovariateRow("E2", "q2", "student",
-                        {"programming": 2, "java": 2, "unit_testing": 2, "junit": 2}),
+        rd.CovariateRow("E1", "p1", "professional", (4, 2, 2, 1)),
+        rd.CovariateRow("E1", "p2", "professional", (3, 3, 2, 2)),
+        rd.CovariateRow("E2", "q1", "student", (2, 2, 2, 2)),
+        rd.CovariateRow("E2", "q2", "student", (2, 2, 2, 2)),
     ]
     return rd.CovariateTable(tuple(rows))
 
@@ -187,8 +183,10 @@ def test_profile_series_outcomes_keeps_constant_arm_replication():
         within_replication([10.0, 12.0], [20.0, 22.0], "E1"),
         within_replication([5.0, 5.0, 5.0], [7.0, 7.0, 7.0], "E2"),
     )
-    with pytest.warns(dsc.AnalysisWarning, match="E2: paired correlation undefined"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         series = dsc.profile_series_outcomes(rd.ReplicationSet(reps))
+    assert caught == []  # the profile computes no correlation, so none is undefined
     assert dict(series.rows) == {
         "E1": pytest.approx((11.0, 21.0)),
         "E2": pytest.approx((5.0, 7.0)),
@@ -201,11 +199,10 @@ def random_covariate_table(rng):
     rows = []
     for g in range(rng.randint(1, 6)):
         n = 1 if rng.random() < 0.2 else rng.randint(2, 40)
-        constant = {name: rng.randint(1, 4) for name in rd.ORDINAL_COVARIATES
-                    if rng.random() < 0.3}
+        constant = [rng.randint(1, 4) if rng.random() < 0.3 else None
+                    for _ in rd.ORDINAL_COVARIATES]
         for i in range(n):
-            values = {name: constant.get(name) or rng.randint(1, 4)
-                      for name in rd.ORDINAL_COVARIATES}
+            values = tuple(c or rng.randint(1, 4) for c in constant)
             rows.append(rd.CovariateRow(f"E{g}", f"p{i}", "student", values))
     return rd.CovariateTable(tuple(rows))
 
@@ -215,23 +212,26 @@ def test_covariate_summaries_equal_statistics_bit_for_bit(seed):
     table = random_covariate_table(random.Random(seed))
     columns = {}
     for r in table.rows:
-        for name in rd.ORDINAL_COVARIATES:
-            columns.setdefault(r.experiment_id, {}).setdefault(name, []).append(r.values[name])
+        for name, v in zip(rd.ORDINAL_COVARIATES, r.values):
+            columns.setdefault(r.experiment_id, {}).setdefault(name, []).append(v)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         summaries = dsc.summarize_covariates(table)
+        profile = dsc.profile_series_covariates(table)
     singles = [exp for exp, cols in columns.items() if len(cols["java"]) == 1]
     assert [str(w.message) for w in caught] == [f"{exp}: single covariate row; sd reported as 0"
-                                                for exp in singles]
+                                                for exp in singles] * 2
     assert [s.experiment_id for s in summaries] == list(columns)
     for s in summaries:
         for name, xs in columns[s.experiment_id].items():
             assert s.mean(name) == statistics.fmean(xs)
             assert s.sd(name) == (statistics.stdev(xs) if len(xs) > 1 else 0.0)
+    assert profile.rows == tuple(
+        (s.experiment_id, tuple(s.mean(name) for name in rd.ORDINAL_COVARIATES)) for s in summaries)
 
 
 # ---------------------------------------------------------------------------
-# summaries computed once per record
+# summaries computed on every call, from records they leave unchanged
 # ---------------------------------------------------------------------------
 
 def warned(call, *args):
@@ -245,14 +245,14 @@ def test_repeated_summaries_are_equal_and_warn_every_time():
     rep = within_replication([5.0, 5.0, 5.0], [7.0, 8.0, 9.0], "E2")
     first, first_warnings = warned(dsc.summarize_replication, rep)
     again, again_warnings = warned(dsc.summarize_replication, rep)
-    assert again == first and again is first
+    assert again == first
     assert first_warnings == again_warnings == [
         (dsc.AnalysisWarning, "E2: paired correlation undefined (constant paired arm); "
                               "reported as missing")]
     table = rd.CovariateTable((cov_table().rows[0], *cov_table().rows[2:]))
     first, first_warnings = warned(dsc.summarize_covariates, table)
     again, again_warnings = warned(dsc.summarize_covariates, table)
-    assert again == first and again is not first  # a fresh list each call
+    assert again == first
     assert first_warnings == again_warnings == [
         (dsc.AnalysisWarning, "E1: single covariate row; sd reported as 0")]
 
@@ -274,7 +274,6 @@ def test_profiles_reuse_the_summaries():
     assert dsc.profile_series_outcomes(reps).rows == (("E1", (row.mean_control, row.mean_treatment)),)
     assert dsc.profile_series_covariates(table).rows[1] == (
         "E2", tuple(summaries[1].mean(name) for name in rd.ORDINAL_COVARIATES))
-    assert dsc.summarize_replication(reps.replications[0]) is row
 
 
 def test_a_raised_error_is_not_kept():
@@ -285,7 +284,6 @@ def test_a_raised_error_is_not_kept():
     for _ in range(2):
         with pytest.raises(ValueError, match="E1: need at least 2 non-missing outcomes per arm"):
             dsc.summarize_replication(rep)
-    assert "_summary" not in vars(rep)
     with pytest.raises(ValueError, match="covariate table is empty"):
         dsc.summarize_covariates(rd.CovariateTable(()))
 
@@ -298,16 +296,33 @@ def test_summarizing_leaves_equality_hash_repr_and_replace_unchanged():
     dsc.summarize_covariates(table)
     assert (hash(rep), repr(rep), repr(table)) == before
     assert rep == twin and hash(rep) == hash(twin) and table == table_twin
-    with pytest.raises(TypeError):  # a mapping field makes the table unhashable, as before
-        hash(table)
+    assert hash(table) == hash(table_twin)  # tuple values make the table hashable
     replaced = dataclasses.replace(rep, experiment_id="E9", observations=tuple(
         dataclasses.replace(o, experiment_id="E9") for o in rep.observations))
-    assert "_summary" not in vars(replaced)
     assert dsc.summarize_replication(replaced).experiment_id == "E9"
-    assert dataclasses.replace(table) == table and "_summary" not in vars(dataclasses.replace(table))
+    assert dataclasses.replace(table) == table
+
+
+def test_summarizing_and_profiling_leave_the_records_unchanged():
+    reps = (within_replication([5.0, 5.0, 5.0], [7.0, 8.0, 9.0], "E1"),
+            within_replication([1.0, 3.0, 2.0], [2.0, 5.0, 4.0], "E2"))
+    dataset, table = rd.ReplicationSet(reps), rd.CovariateTable((cov_table().rows[0],))
+    records = (*reps, table)
+    before = [dict(vars(record)) for record in records]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dsc.AnalysisWarning)
+        for rep in reps:
+            dsc.summarize_replication(rep)
+        dsc.profile_series_outcomes(dataset)
+        dsc.summarize_covariates(table)
+        dsc.profile_series_covariates(table)
+    for record, attributes in zip(records, before):
+        assert vars(record).keys() == attributes.keys()
+        assert all(vars(record)[name] is value for name, value in attributes.items())
 
 
 def test_returned_summaries_cannot_change_the_kept_ones():
+    # no summary is kept: editing a returned one changes neither the table nor the next call
     table = cov_table()
     summaries = dsc.summarize_covariates(table)
     summaries.clear()

@@ -120,6 +120,20 @@ def check_t_tests(rep):
         check_test(paired_t_test(sample), scipy_oracle(scipy_stats.ttest_rel, pt, pc))
 
 
+def check_profile(family):
+    """The outcome profile holds the summaries' arm means, bit for bit."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dsc.AnalysisWarning)
+            summaries = [dsc.summarize_replication(rep) for rep in family.replications]
+    except ValueError:
+        with pytest.raises(ValueError, match="at least 2"):
+            dsc.profile_series_outcomes(family)
+        return
+    assert dsc.profile_series_outcomes(family).rows == tuple(
+        (s.experiment_id, (s.mean_control, s.mean_treatment)) for s in summaries)
+
+
 def scipy_oracle(test, *args, **kwargs):
     # scipy reports "precision loss" for a constant arm of values such as 0.1,
     # whose mean is inexact, and then uses a variance of order 1e-32 where the
@@ -143,3 +157,4 @@ def test_reductions_match_statistics_and_scipy(family):
     for rep in family.replications:
         check_summary(rep)
         check_t_tests(rep)
+    check_profile(family)
