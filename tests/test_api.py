@@ -1,7 +1,9 @@
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 
 import pytest
@@ -35,9 +37,37 @@ def _hand_initialised_dataclasses():
             and dataclasses.is_dataclass(cls) and not cls.__dataclass_params__.init]
 
 
+RECORDS = {
+    "Observation": ("data", ("E1", "p1", "control", 1.5), {"treatment": "banana"}),
+    "CovariateRow": ("data", ("E1", "p1", "student", (3, 2, 2, 1)), {"values": (3, 2, 2, 5)}),
+    "SummaryRow": ("data", ("E1", 5, 5, 1.5, 1.25, 2.5, 1.75, 0.5, "within"), {"corr": 1.5}),
+    "EffectSize": ("effects", ("E1", 0.4, 0.1, 20, False, "A", 2.0), {"variance": -0.1}),
+}
+
+
 def test_hand_written_inits_exist():
     names = {cls.__name__ for cls in _hand_initialised_dataclasses()}
-    assert {"SummaryRow", "EffectSize"} <= names
+    assert set(RECORDS) <= names
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_slot_records_keep_the_dataclass_contract(name):
+    module, args, invalid = RECORDS[name]
+    cls = getattr(importlib.import_module(f"replimeta.{module}"), name)
+    record = cls(*args)
+    field = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, "E2")
+    with pytest.raises(ValueError):  # replace builds through the validating __init__
+        dataclasses.replace(record, **invalid)
+    moved = dataclasses.replace(record, **{field: "E2"})
+    assert getattr(moved, field) == "E2" and moved != record
+    twin = cls(*args)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    assert not hasattr(record, "__dict__")
+    assert repr(record).startswith(f"{name}(")
 
 
 @pytest.mark.parametrize("cls", _hand_initialised_dataclasses(), ids=lambda c: c.__name__)

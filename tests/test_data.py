@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,28 @@ def test_load_minimal_raw(tmp_path):
     rep = ds.replication("E1")
     assert len(rep.observations) == 4
     assert rep.arm_values("control") == [10.0, 12.0]
+
+
+def test_arm_values_rejects_an_unknown_arm(tmp_path):
+    rep = rd.load_raw_dataset(write(tmp_path / "raw.csv", RAW_MINIMAL)).replication("E1")
+    with pytest.raises(ValueError, match=r"^unknown arm 'banana' \(expected 'control' or 'treatment'\)$"):
+        rep.arm_values("banana")
+    assert rep.arm_values(rd.TREATMENT) == [20.0, 18.0]
+
+
+def test_building_observations_allocates_no_instance_dict():
+    # a slotted Observation is 64 bytes with its GC header, plus 8 for the list's pointer;
+    # with an instance dict it took 112 bytes per row
+    n = 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = [rd.Observation("E1", "p1", rd.CONTROL, 1.5) for _ in range(n)]
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == n
+    assert used < 96 * n
 
 
 def test_load_single_participant_both_arms_rejected(tmp_path):

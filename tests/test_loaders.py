@@ -164,3 +164,12 @@ def test_covariate_file_with_permuted_header_and_blank_lines(tmp_path):
         rd.CovariateRow("E1", "p2", "student", (4, 3, 1, 2)),
     ))
     assert [type(v) for row in table.rows for v in row.values] == [int] * 8
+
+
+@pytest.mark.parametrize("cell", ["3", " 3 ", "3.0", "3e0", "+3"])
+def test_every_spelling_of_an_ordinal_loads_to_the_same_int(tmp_path, cell):
+    # "1".."4" take a dict lookup, any other spelling the float -> int path
+    text = COV_HEADER + f"E1,p1,professional,{cell},2,{cell},1\nE1,p2,student,4,{cell},1,{cell}\n"
+    table = rd.load_covariates(write(tmp_path, text), raw_dataset())
+    assert [row.values for row in table.rows] == [(3, 2, 3, 1), (4, 3, 1, 3)]
+    assert [type(v) for row in table.rows for v in row.values] == [int] * 8

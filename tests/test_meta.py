@@ -222,6 +222,17 @@ def test_reml_finds_interior_maximum_beside_a_boundary_one(d, v, tau2):
     assert got == pytest.approx(tau2, rel=1e-5, abs=0)
 
 
+def test_reml_is_exactly_zero_when_no_grid_score_is_positive():
+    # six close effects with large variances: the score is negative down the whole grid
+    d = np.array([0.10, 0.12, 0.11, 0.09, 0.10, 0.105])
+    v = np.full(6, 0.2)
+    top = max(10.0 * np.var(d, ddof=1), 10.0 * v.max(), 1.0)
+    assert all(projection_reml_score(top * 0.5 ** j, d, v) < 0.0 for j in range(40))
+    assert projection_reml_score(0.0, d, v) < 0.0
+    tau2 = reml_tau2(d, v)
+    assert tau2 == 0.0 and type(tau2) is float
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_reml_tau2_is_the_root_of_the_projection_score(seed):
     d, v = reml_case(seed)
