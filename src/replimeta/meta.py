@@ -140,11 +140,11 @@ def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
     sum((w (d - mu))^2) - sum(w) + sum(w^2) / sum(w), w = 1 / (v + tau^2).
 
     The score is scanned on the halving grid from top = max(10 var d, 10 max v,
-    1) down to 1e-12 top, 8 to 40 points a numpy pass (all 40 for k <= 12). The
-    first positive point and the one above it bracket the root, which keeps an
-    interior maximum even where the likelihood also peaks at 0. `_root` closes the
-    bracket to a few ulps, so a last-bit change in the data does not move tau^2.
-    Returns top if its score is positive, 0 if no grid point's is or the criterion at 0 is no worse."""
+    1) down to 1e-12 top, eight points to a numpy pass. The first positive point
+    and the one above it bracket the root, which keeps an interior maximum even
+    where the likelihood also peaks at 0. `_root` closes the bracket to a few
+    ulps, so a last-bit change in the data does not move tau^2. Returns top if its
+    score is positive, and 0 if no grid point's is or the criterion at 0 is no worse."""
     if len(d) < 2:
         return 0.0
     one = np.ones(len(d))
@@ -160,9 +160,8 @@ def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
 
     top = max(10.0 * sample_variance(d), 10.0 * float(np.maximum.reduce(v)), 1.0)
     grid, s = top * _HALVINGS, []  # s: the score down the grid
-    step = 8 * max(1, min(5, 64 // len(d)))  # whole blocks of 8 rows keep numpy's bits
-    for i in range(0, 40, step):
-        s += score(grid[i:i + step, None]).tolist()
+    for i in range(0, 40, 8):
+        s += score(grid[i:i + 8, None]).tolist()
         if max(s[i:]) > 0.0:
             break
     else:
@@ -191,8 +190,9 @@ def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], tau2: float, model: s
     w = 1.0 / (v + tau2)
     (pooled,), (se,), _, _ = _fit(d, w)
     _, _, (ci_low, ci_high), p = _z_row(pooled, se)
-    return MetaResult(pooled, se, ci_low, ci_high, p, tau2, q, q_df, q_p, i2, model,
-                      tuple((w / np.add.reduce(w)).tolist()), tuple(labels))
+    return MetaResult(pooled=pooled, se=se, ci_low=ci_low, ci_high=ci_high, p_value=p,
+                      tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2, model=model,
+                      weights=tuple((w / np.add.reduce(w)).tolist()), labels=tuple(labels))
 
 
 def pool_fixed(effects: list[EffectSize]) -> MetaResult:
