@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from itertools import product
 from operator import itemgetter
@@ -53,9 +54,9 @@ COVARIATE_COLUMNS = ("experiment_id", "participant_id", "subject_type", *ORDINAL
 INTEGER_COLUMNS = frozenset(("n_control", "n_treatment", *ORDINAL_COVARIATES))
 SUBJECT_TYPES = ("professional", "student")
 DESIGNS = ("within", "between")
-_ORDINALS, _FOUR_INTS = frozenset(range(1, 5)), (int,) * len(ORDINAL_COVARIATES)
 # the four cells of a row spelled "1".."4" -> their ints, one tuple shared by all such rows
 _ORDINAL_ROWS = {cells: tuple(map(int, cells)) for cells in product("1234", repeat=4)}
+_ORDINAL_IDS = frozenset(map(id, _ORDINAL_ROWS.values()))  # the module keeps them alive
 
 
 class DataError(ValueError):
@@ -241,10 +242,10 @@ class CovariateRow:
 
     def __init__(self, experiment_id: str, participant_id: str, subject_type: str,
                  values: tuple[int, ...]):
-        values = tuple(values)
         if subject_type not in SUBJECT_TYPES:
             raise DataError(f"unknown subject_type {subject_type!r} ({experiment_id}/{participant_id})")
-        if tuple(map(type, values)) != _FOUR_INTS or not _ORDINALS.issuperset(values):
+        if id(values) not in _ORDINAL_IDS:  # the loader's shared tuples are valid as they are
+            values = tuple(values)
             if len(values) != len(ORDINAL_COVARIATES):
                 raise DataError(f"expected one value for each of {ORDINAL_COVARIATES}, got "
                                 f"{values!r} ({experiment_id}/{participant_id})")
@@ -281,6 +282,11 @@ class ParseOptions:
     treatment_label: str = TREATMENT
     design: str | Mapping[str, str] = "within"
     exclude: frozenset[tuple[str, str]] = frozenset()
+
+    def __post_init__(self):
+        if self.control_label == self.treatment_label:
+            raise DataError(f"control and treatment labels must differ, both are "
+                            f"{self.control_label!r}")
 
     def design_of(self, experiment_id: str) -> str:
         if isinstance(self.design, str):
@@ -426,26 +432,25 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     known = None if dataset is None else {r.experiment_id: set(r.participants)
                                           for r in dataset.replications}
     rows: list[CovariateRow] = []
-    seen: set[tuple[str, str]] = set()
-    for line, (exp, pid, subject_type, *ordinals) in _read_rows(path, COVARIATE_COLUMNS):
-        exp, pid = exp.strip(), pid.strip()
-        key = (exp, pid)
-        if key in seen:
-            raise DataError(f"{path}:{line}: duplicate covariate row for {key}")
-        seen.add(key)
+    seen: defaultdict[str, set[str]] = defaultdict(set)  # participant ids per experiment
+    for line, (exp, pid, subject_type, o1, o2, o3, o4) in _read_rows(path, COVARIATE_COLUMNS):
+        exp, pid, cells = exp.strip(), pid.strip(), (o1, o2, o3, o4)  # ORDINAL_COVARIATES order
+        if pid in (ids := seen[exp]):
+            raise DataError(f"{path}:{line}: duplicate covariate row for {(exp, pid)}")
+        ids.add(pid)
         if known is not None and pid not in known.get(exp, ()):
             raise DataError(f"{path}:{line}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")
         try:  # CovariateRow rejects values outside 1..4; int() a non-finite one
-            ints = _ORDINAL_ROWS.get(tuple(ordinals))
+            ints = _ORDINAL_ROWS.get(cells)
             if ints is None:  # a cell other than "1".."4" takes the float -> int path
-                floats = tuple(map(float, ordinals))
+                floats = tuple(map(float, cells))
                 ints = tuple(map(int, floats))
                 if ints != floats:
                     raise ValueError("fractional ordinal")
             row = CovariateRow(exp, pid, subject_type.strip(), ints)
         except (ValueError, OverflowError) as err:
-            raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, ordinals), err) from None
+            raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, cells), err) from None
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")

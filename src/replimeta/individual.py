@@ -42,6 +42,8 @@ def _p_from_t(t: float, df: float, sidedness: str) -> float:
 
 
 def _result(experiment_id, estimate, se, df, sidedness, alpha, n) -> TestResult:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     t = estimate / se
     half = t_quantile(1.0 - alpha / 2.0, df) * se
     return TestResult(experiment_id, estimate, estimate - half, estimate + half,
@@ -57,6 +59,8 @@ def paired_t_test(sample: PairedSample, sidedness: str = TWO_SIDED,
     """
     diffs = sample.differences
     var = sample_variance(diffs)
+    if not math.isfinite(var):  # NaN or inf among the values, or a variance past the float range
+        raise ValueError(f"{sample.experiment_id}: differences and their variance must be finite")
     if var == 0.0:
         raise ValueError(f"{sample.experiment_id}: differences have zero variance")
     n = len(diffs)
@@ -76,6 +80,8 @@ def independent_t_test(control: list[float], treatment: list[float],
     if n_c < 2 or n_t < 2:
         raise ValueError("each arm needs at least 2 observations")
     var_c, var_t = sample_variance(control), sample_variance(treatment)
+    if not math.isfinite(var_c + var_t):  # as in paired_t_test
+        raise ValueError(f"{experiment_id}: sample values and their variances must be finite")
     if var_c == 0.0 and var_t == 0.0:
         raise ValueError("both arms have zero variance")
     estimate = sample_mean(treatment) - sample_mean(control)

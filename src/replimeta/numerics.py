@@ -64,8 +64,8 @@ def _beta_frac(a: float, b: float, x: float, y: float, lam: float) -> float:
         alpha = p * q * w * xx / (s * s)
         beta = n + w * x / s + (p + 1.0) * (c + n * yp1) / (s + 2.0)
         s += 2.0
-        bnp1 = alpha * bn + beta
-        an, bn, r0, r = r / bnp1, 1.0 / bnp1, r, (alpha * an + beta * r) / bnp1
+        r0, bnp1 = r, alpha * bn + beta  # no tuple is built to assign up to three names
+        r, an, bn = (alpha * an + beta * r0) / bnp1, r0 / bnp1, 1.0 / bnp1
         if abs(r - r0) <= _EPS * r:
             return r
     raise ArithmeticError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
@@ -163,8 +163,8 @@ def _t_tail(x: float, df: float, q: float, ln_beta: float) -> float:
 
 def t_cdf(x: float, df: float) -> float:
     """CDF of Student's t with `df` degrees of freedom."""
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df!r}")
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
     if not math.isfinite(x):
         raise ValueError(f"t_cdf requires finite x, got {x!r}")
     tail = _t_tail(abs(x), df, 0.0, _ln_beta(0.5 * df, 0.5))
@@ -214,8 +214,8 @@ def t_quantile(p: float, df: float) -> float:
     when the residual stops shrinking. Against scipy the relative error is
     below 1e-12 for df in [0.5, 1e6] and p in [1e-12, 1 - 1e-12].
     """
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df!r}")
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"t_quantile requires p in (0, 1), got {p!r}")
     if p == 0.5:
@@ -269,16 +269,16 @@ def t_quantile(p: float, df: float) -> float:
 def chisq_sf(x: float, df: float) -> float:
     """Survival function P(X > x) of the chi-square distribution: the regularized
     upper gamma Q(df/2, x/2), computed without cancellation for large x."""
-    if df <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df!r}")
-    if x < 0:
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
+    if not x >= 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x!r}")
     s, x = 0.5 * df, 0.5 * x
     if x == 0.0:
         return 1.0
     if x < s + 1.0:
         return 1.0 - _gamma_series(s, x)
-    return _gamma_cont_frac(s, x)
+    return _gamma_cont_frac(s, x) if x < math.inf else 0.0
 
 
 def sqrt_of_ratio(num: int, den: int) -> float:

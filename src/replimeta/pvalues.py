@@ -77,8 +77,8 @@ def stouffer_pool(one_sided_ps: list[float], weights: list[float] | None = None)
         w = list(weights)
         if len(w) != len(ps):
             raise ValueError("weights must match the p-values one to one")
-        if any(x < 0 for x in w) or all(x == 0 for x in w):
-            raise ValueError("weights must be nonnegative and not all zero")
+        if not all(0.0 <= x < math.inf for x in w) or all(x == 0 for x in w):
+            raise ValueError("weights must be finite, nonnegative and not all zero")
     zs = [-normal_quantile(p) if p < 1.0 else normal_quantile(1e-16) for p in ps]
     z = sum(wi * zi for wi, zi in zip(w, zs)) / math.sqrt(sum(wi * wi for wi in w))
     return PooledPValue("stouffer", z, None, max(0.5 * math.erfc(z / math.sqrt(2.0)), 1e-300))
@@ -92,6 +92,8 @@ def vote_count(results: list[TestResult], alpha: float = 0.05) -> VoteCount:
     exactly the weakness this summary is flagged for."""
     if not results:
         raise ValueError("no test results to count")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     pos = neg = ns = 0
     for r in results:
         if r.p_value < alpha and r.estimate > 0:

@@ -512,3 +512,12 @@ def test_layout_arrays_cannot_be_made_writeable():
         with pytest.raises(ValueError):
             arm.flags.writeable = True
         assert arm.dtype == np.float64 and not arm.flags.writeable
+
+
+@pytest.mark.parametrize("labels", [("B", "B"), (rd.CONTROL, rd.CONTROL)])
+def test_parse_options_reject_equal_control_and_treatment_labels(labels):
+    with pytest.raises(rd.DataError, match=f"control and treatment labels must differ, "
+                                           f"both are '{labels[0]}'"):
+        rd.ParseOptions(control_label=labels[0], treatment_label=labels[1])
+    with pytest.raises(rd.DataError, match="labels must differ"):
+        rd.ParseOptions(control_label=rd.TREATMENT)

@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -369,3 +370,40 @@ def test_pearson_corr_matches_centring_by_np_mean(pairs):
     dx, dy = x - x.mean(), y - y.mean()
     expected = max(-1.0, min(1.0, float(dx @ dy) / math.sqrt(dx @ dx) / math.sqrt(dy @ dy)))
     assert dsc.pearson_corr(x.tolist(), tuple(y)) == expected
+
+
+# ---------------------------------------------------------------------------
+# covariate profiles from exact integer sums; moments of arrays by fsum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(40))
+def test_covariate_profile_means_are_exact_fractions_rounded_once(seed):
+    rng = random.Random(1000 + seed)
+    table = random_covariate_table(rng)
+    single = rd.CovariateRow("S1", "p0", "professional", tuple(rng.randint(1, 4) for _ in range(4)))
+    table = rd.CovariateTable(table.rows + (single,))
+    columns = {}
+    for r in table.rows:
+        columns.setdefault(r.experiment_id, []).append(r.values)
+    expected = tuple((exp, tuple(float(Fraction(sum(c), len(c))) for c in zip(*values)))
+                     for exp, values in columns.items())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        profile = dsc.profile_series_covariates(table)
+    assert profile.rows == expected
+    assert profile.categories == rd.ORDINAL_COVARIATES and profile.label == "mean experience"
+    assert [str(w.message) for w in caught] == [
+        f"{exp}: single covariate row; sd reported as 0"
+        for exp, values in columns.items() if len(values) == 1]
+
+
+def test_covariate_profile_of_an_empty_table_is_an_error():
+    with pytest.raises(ValueError, match="covariate table is empty"):
+        dsc.profile_series_covariates(rd.CovariateTable(()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 1000])
+def test_sample_mean_of_an_array_is_the_fsum_of_its_floats(n):
+    x = np.random.default_rng(n).normal(1e3, 5.0, n)
+    assert dsc.sample_mean(x) == math.fsum(x.tolist()) / n == dsc.sample_mean(tuple(x.tolist()))
+    assert type(dsc.sample_mean(x)) is float

@@ -112,3 +112,26 @@ def test_paired_equals_one_sample_on_differences():
     res = paired_t_test(PairedSample("E1", diffs))
     oracle = scipy_stats.ttest_1samp(diffs, 0.0)
     assert res.p_value == pytest.approx(oracle.pvalue, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# alpha outside (0, 1) and non-finite sample values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, math.nan])
+def test_t_tests_reject_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got "):
+        paired_t_test(PairedSample("E1", (1.0, 2.0, 4.0)), alpha=alpha)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got "):
+        independent_t_test([1.0, 2.0], [3.0, 5.0], alpha=alpha, experiment_id="E2")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_t_tests_reject_non_finite_sample_values_naming_the_experiment(bad):
+    with np.errstate(all="ignore"):  # numpy's own warning on inf - inf precedes the error
+        with pytest.raises(ValueError, match="^E1: differences and their variance must be finite$"):
+            paired_t_test(PairedSample("E1", (1.0, bad, 4.0)))
+        for control, treatment in (([1.0, bad], [3.0, 5.0]), ([1.0, 2.0], [3.0, 5.0, bad])):
+            with pytest.raises(ValueError,
+                               match="^E2: sample values and their variances must be finite$"):
+                independent_t_test(control, treatment, experiment_id="E2")

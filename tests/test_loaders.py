@@ -173,3 +173,54 @@ def test_every_spelling_of_an_ordinal_loads_to_the_same_int(tmp_path, cell):
     table = rd.load_covariates(write(tmp_path, text), raw_dataset())
     assert [row.values for row in table.rows] == [(3, 2, 3, 1), (4, 3, 1, 3)]
     assert [type(v) for row in table.rows for v in row.values] == [int] * 8
+
+
+def test_covariates_spelled_as_floats_and_padded_load_like_plain_digits(tmp_path):
+    from replimeta import descriptives as dsc
+    raw = rd.ReplicationSet(tuple(rd.Replication(exp, "within", tuple(
+        rd.Observation(exp, pid, arm, 1.0 + i) for i, pid in enumerate(("p1", "p2", "p3"))
+        for arm in (rd.CONTROL, rd.TREATMENT))) for exp in ("E1", "E2")))
+    plain = ("E1,p1,professional,3,2,2,1\nE2,p1,student,4,4,1,1\nE1,p2,student,1,3,4,2\n"
+             "E2,p3,student,2,1,3,4\nE1,p3,professional,4,4,4,4\n")
+    spelled = ("E1,p1,professional,3.0, 2 , 2 ,1.0\nE2,p1,student,4e0,4, 1.0 ,1\n"
+               "E1,p2,student,1, 3 ,4.00,2e0\nE2,p3,student, 2 ,1.0,3,4\n"
+               "E1,p3,professional,4,4.0,4,+4\n")
+    tables = [rd.load_covariates(write(tmp_path, COV_HEADER + text, name), raw)
+              for text, name in ((plain, "plain.csv"), (spelled, "spelled.csv"))]
+    assert tables[0] == tables[1]
+    assert [type(v) for t in tables for row in t.rows for v in row.values] == [int] * 40
+    assert dsc.summarize_covariates(tables[0]) == dsc.summarize_covariates(tables[1])
+    assert dsc.profile_series_covariates(tables[0]) == dsc.profile_series_covariates(tables[1])
+
+
+@pytest.mark.parametrize("dataset", [None, "raw"])
+def test_duplicate_covariate_rows_are_found_within_each_experiment(tmp_path, dataset):
+    raw = None if dataset is None else rd.ReplicationSet(tuple(rd.Replication(exp, "within", tuple(
+        rd.Observation(exp, pid, rd.CONTROL, float(i)) for i, pid in enumerate(("p1", "p2"))))
+        for exp in ("E1", "E2")))
+    ok = "E1,p1,student,1,2,3,4\nE2,p1,student,1,2,3,4\nE2,p2,student,1,2,3,4\n"
+    assert len(rd.load_covariates(write(tmp_path, COV_HEADER + ok), raw).rows) == 3
+    path = write(tmp_path, COV_HEADER + ok + "E1,p2,student,1,2,3,4\nE2,p1,student,4,4,4,4\n")
+    with pytest.raises(rd.DataError, match=re.escape(
+            f"{path}:6: duplicate covariate row for ('E2', 'p1')") + "$"):
+        rd.load_covariates(path, raw)
+
+
+def test_orphan_participant_is_named_with_file_and_line(tmp_path):
+    path = write(tmp_path, COV_HEADER + COV_OK + "E1,p2,student,1,1,1,1\nE1,p3,student,1,1,1,1\n")
+    with pytest.raises(rd.DataError, match=re.escape(
+            f"{path}:4: participant 'p3' of experiment 'E1' is not present in the raw data") + "$"):
+        rd.load_covariates(path, raw_dataset())
+
+
+def test_loaded_rows_share_the_canonical_value_tuples_and_others_are_checked(tmp_path):
+    text = COV_HEADER + "E1,p1,professional,3,2,2,1\nE1,p2,student,3,2,2,1\n"
+    first, second = rd.load_covariates(write(tmp_path, text), raw_dataset()).rows
+    assert first.values is second.values == (3, 2, 2, 1)
+    assert rd.CovariateRow("E1", "p1", "student", first.values).values is first.values
+    assert rd.CovariateRow("E1", "p1", "student", [3, 2, 2, 1]).values == (3, 2, 2, 1)
+    with pytest.raises(rd.DataError, match=re.escape("programming must be an integer in 1..4, "
+                                                     "got True (E1/p1)")):
+        rd.CovariateRow("E1", "p1", "student", (True, 2, 2, 1))  # equal to a canonical tuple
+    with pytest.raises(rd.DataError, match=re.escape("unknown subject_type 'x' (E1/p1)")):
+        rd.CovariateRow("E1", "p1", "x", first.values)

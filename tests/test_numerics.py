@@ -321,3 +321,23 @@ def test_sqrt_of_ratio_small_ratios_and_exact_cases():
     for num, den in [(9, 4), (2, 1), (1, 3 << 60), (10**15 + 1, 1 << 20), (7, 1 << 1000)]:
         assert nm.sqrt_of_ratio(num, den) == math.sqrt(num / den)
     assert nm.sqrt_of_ratio(10**400, 1) == 1e200
+
+
+# ---------------------------------------------------------------------------
+# non-finite degrees of freedom and statistics
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("df", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [lambda df: nm.t_cdf(1.0, df), lambda df: nm.t_sf(1.0, df),
+                                  lambda df: nm.t_quantile(0.975, df),
+                                  lambda df: nm.chisq_sf(3.0, df)])
+def test_distributions_reject_degrees_of_freedom_that_are_not_positive_and_finite(call, df):
+    with pytest.raises(ValueError, match=r"degrees of freedom must be positive and finite, got "):
+        call(df)
+
+
+def test_chisq_sf_of_an_infinite_statistic_is_zero_and_of_nan_an_error():
+    for df in (0.5, 1.0, 4.0, 1e4):
+        assert nm.chisq_sf(math.inf, df) == 0.0
+        with pytest.raises(ValueError, match="chi-square statistic must be nonnegative, got nan"):
+            nm.chisq_sf(math.nan, df)

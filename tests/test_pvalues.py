@@ -3,6 +3,7 @@ import math
 import pytest
 
 from replimeta import individual as ind
+from replimeta.data import PairedSample
 from replimeta import numerics as nm
 from replimeta.pvalues import POOLING_WARNING, fisher_pool, stouffer_pool, vote_count
 
@@ -112,3 +113,21 @@ def test_vote_count_tallies_and_alpha():
     assert vote_count([result(0.0, 0.001)]).verdict == "non-significant"
     with pytest.raises(ValueError):
         vote_count([])
+
+
+# ---------------------------------------------------------------------------
+# non-finite weights and alpha outside (0, 1)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf],
+                                     [0.0, math.nan]])
+def test_stouffer_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="weights must be finite, nonnegative and not all zero"):
+        stouffer_pool([0.1, 0.2], weights)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, math.nan])
+def test_vote_count_rejects_alpha_outside_the_unit_interval(alpha):
+    result = ind.paired_t_test(PairedSample("E1", (1.0, 2.0, 4.0)))
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got "):
+        vote_count([result], alpha)
