@@ -285,8 +285,7 @@ class ParseOptions:
 
     def __post_init__(self):
         if self.control_label == self.treatment_label:
-            raise DataError(f"control and treatment labels must differ, both are "
-                            f"{self.control_label!r}")
+            raise DataError(f"control and treatment labels must differ, both are {self.control_label!r}")
 
     def design_of(self, experiment_id: str) -> str:
         if isinstance(self.design, str):
@@ -432,12 +431,12 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     known = None if dataset is None else {r.experiment_id: set(r.participants)
                                           for r in dataset.replications}
     rows: list[CovariateRow] = []
-    seen: defaultdict[str, set[str]] = defaultdict(set)  # participant ids per experiment
+    seen = defaultdict(dict)  # participant ids per experiment: a dict is a quarter of a set's size
     for line, (exp, pid, subject_type, o1, o2, o3, o4) in _read_rows(path, COVARIATE_COLUMNS):
         exp, pid, cells = exp.strip(), pid.strip(), (o1, o2, o3, o4)  # ORDINAL_COVARIATES order
         if pid in (ids := seen[exp]):
             raise DataError(f"{path}:{line}: duplicate covariate row for {(exp, pid)}")
-        ids.add(pid)
+        ids[pid] = None
         if known is not None and pid not in known.get(exp, ()):
             raise DataError(f"{path}:{line}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")

@@ -123,8 +123,8 @@ class CovariateSummary:
         return self.stats[name][1]
 
 
-def _covariate_groups(covariates: CovariateTable) -> dict[str, list[tuple[int, ...]]]:
-    """Each experiment's covariate values by first appearance; a single row warns."""
+def _covariate_columns(covariates: CovariateTable) -> dict[str, list[list[int]]]:
+    """Each experiment's ORDINAL_COVARIATES columns by first appearance; a single row warns."""
     if not covariates.rows:
         raise ValueError("covariate table is empty")
     groups: dict[str, list[tuple[int, ...]]] = {}
@@ -132,16 +132,17 @@ def _covariate_groups(covariates: CovariateTable) -> dict[str, list[tuple[int, .
         groups.setdefault(r.experiment_id, []).append(r.values)
     for exp in [exp for exp, rows in groups.items() if len(rows) < 2]:
         warnings.warn(f"{exp}: single covariate row; sd reported as 0", AnalysisWarning)
-    return groups
+    # Python ints sum exactly; zip(*rows) would set off the collector with an iterator per row
+    return {exp: [[r[i] for r in rows] for i in range(len(ORDINAL_COVARIATES))]
+            for exp, rows in groups.items()}
 
 
 def summarize_covariates(covariates: CovariateTable) -> list[CovariateSummary]:
     """Mean (sd) of each ordinal covariate per experiment, in order of first
     appearance. An experiment with a single row gets sd 0, and each call warns."""
     summaries = []
-    for exp, rows in _covariate_groups(covariates).items():
-        n, columns = len(rows), tuple(zip(*rows))  # exact sums of Python ints
-        sums, squares = map(sum, columns), [sum(map(mul, c, c)) for c in columns]
+    for exp, columns in _covariate_columns(covariates).items():
+        n, sums, squares = len(columns[0]), map(sum, columns), [sum(map(mul, c, c)) for c in columns]
         stats = {name: (s / n, sqrt_of_ratio(n * q - s * s, max(n * (n - 1), 1)))
                  for name, s, q in zip(ORDINAL_COVARIATES, sums, squares)}
         summaries.append(CovariateSummary(exp, MappingProxyType(stats)))
@@ -163,8 +164,8 @@ class ProfileSeries:
 
 
 def profile_series_covariates(covariates: CovariateTable) -> ProfileSeries:
-    rows = tuple((exp, tuple(s / len(values) for s in map(sum, zip(*values))))
-                 for exp, values in _covariate_groups(covariates).items())
+    rows = tuple((exp, tuple(sum(c) / len(c) for c in columns))
+                 for exp, columns in _covariate_columns(covariates).items())
     return ProfileSeries("mean experience", ORDINAL_COVARIATES, rows)
 
 

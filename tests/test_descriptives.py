@@ -407,3 +407,25 @@ def test_sample_mean_of_an_array_is_the_fsum_of_its_floats(n):
     x = np.random.default_rng(n).normal(1e3, 5.0, n)
     assert dsc.sample_mean(x) == math.fsum(x.tolist()) / n == dsc.sample_mean(tuple(x.tolist()))
     assert type(dsc.sample_mean(x)) is float
+
+
+def test_covariate_summaries_of_a_large_table_make_no_object_per_row():
+    # an object per row (zip(*rows) makes one iterator each) would run the cyclic
+    # collector many times per call on a table this size
+    import gc
+    canonical = [(1, 2, 3, 4), (4, 4, 1, 2), (2, 3, 3, 1)]
+    table = rd.CovariateTable(tuple(rd.CovariateRow(f"E{i % 3}", f"p{i}", "student", canonical[i % 3])
+                                    for i in range(30000)))
+    collections = []
+    callback = lambda phase, info: collections.append(info["generation"]) if phase == "start" else None
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        summaries = dsc.summarize_covariates(table)
+        profile = dsc.profile_series_covariates(table)
+    finally:
+        gc.callbacks.remove(callback)
+    assert len(collections) <= 1
+    assert [s.mean("java") for s in summaries] == [2.0, 4.0, 3.0]
+    assert profile.rows == (("E0", (1.0, 2.0, 3.0, 4.0)), ("E1", (4.0, 4.0, 1.0, 2.0)),
+                            ("E2", (2.0, 3.0, 3.0, 1.0)))
