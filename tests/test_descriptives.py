@@ -417,7 +417,11 @@ def test_covariate_summaries_of_a_large_table_make_no_object_per_row():
     table = rd.CovariateTable(tuple(rd.CovariateRow(f"E{i % 3}", f"p{i}", "student", canonical[i % 3])
                                     for i in range(30000)))
     collections = []
-    callback = lambda phase, info: collections.append(info["generation"]) if phase == "start" else None
+
+    def callback(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
     gc.collect()
     gc.callbacks.append(callback)
     try:

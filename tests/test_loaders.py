@@ -206,13 +206,6 @@ def test_duplicate_covariate_rows_are_found_within_each_experiment(tmp_path, dat
         rd.load_covariates(path, raw)
 
 
-def test_orphan_participant_is_named_with_file_and_line(tmp_path):
-    path = write(tmp_path, COV_HEADER + COV_OK + "E1,p2,student,1,1,1,1\nE1,p3,student,1,1,1,1\n")
-    with pytest.raises(rd.DataError, match=re.escape(
-            f"{path}:4: participant 'p3' of experiment 'E1' is not present in the raw data") + "$"):
-        rd.load_covariates(path, raw_dataset())
-
-
 def test_loaded_rows_share_the_canonical_value_tuples_and_others_are_checked(tmp_path):
     text = COV_HEADER + "E1,p1,professional,3,2,2,1\nE1,p2,student,3,2,2,1\n"
     first, second = rd.load_covariates(write(tmp_path, text), raw_dataset()).rows
