@@ -2,11 +2,11 @@
 
 Raw data travel in a long-format CSV (one row per observation); summary
 statistics and participant covariates have their own documented schemas.
-Each Replication lays its observations out once, on construction, as sorted
-participant ids with aligned control and treatment arrays (NaN where an
-outcome is missing or absent); arms, pairs and lookups all read that layout.
-Per-row records are frozen, slotted dataclasses with a validating, hand-written
-``__init__``. All structures, the arrays included, are immutable and safe to share.
+``_layout`` lays each Replication out once, from the loader's parsed cells or a
+hand-built one's observations; arms, pairs and lookups read it, as descriptives
+read a CovariateTable's columns, grouped on construction. Per-row records are
+frozen, slotted dataclasses with a validating, hand-written ``__init__`` that the
+loader skips for the cells it validated. All structures are immutable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, field, fields
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
@@ -56,7 +56,6 @@ SUBJECT_TYPES = ("professional", "student")
 DESIGNS = ("within", "between")
 # the four cells of a row spelled "1".."4" -> their ints, one tuple shared by all such rows
 _ORDINAL_ROWS = {cells: tuple(map(int, cells)) for cells in product("1234", repeat=4)}
-_ORDINAL_IDS = frozenset(map(id, _ORDINAL_ROWS.values()))  # the module keeps them alive
 
 
 class DataError(ValueError):
@@ -86,41 +85,30 @@ class Observation:
 
 @dataclass(frozen=True)
 class Replication:
-    """One experiment's observations, laid out once as aligned arm arrays.
+    """One experiment's observations, laid out once by ``_layout``.
 
-    ``participants`` holds the sorted participant ids; ``control`` and
-    ``treatment`` are views of read-only float64 arrays, so that they cannot be
-    made writeable, aligned with it, NaN where an outcome is missing or the
-    participant has no row for that arm. They are attributes, not fields:
-    ``observations`` stays the record of rows, and equality and repr use it.
+    ``participants`` holds the sorted participant ids; ``control`` and ``treatment``
+    align with it, NaN where an outcome is missing or absent; ``observed`` holds each
+    arm's non-missing outcomes, ``pairs`` both arms of the participants with both: all
+    attributes, not fields, and views of read-only float64 arrays that stay read-only.
     """
 
     experiment_id: str
     design: str  # "within" or "between"
     observations: tuple[Observation, ...]
+    _arms: InitVar[dict | None] = field(default=None, kw_only=True)  # the loader's outcomes by arm
 
-    def __post_init__(self):
+    def __post_init__(self, _arms):
         if self.design not in DESIGNS:
             raise DataError(f"unknown design {self.design!r} for {self.experiment_id}")
-        participants = sorted({o.participant_id for o in self.observations})
-        position = {pid: i for i, pid in enumerate(participants)}
-        arms = {arm: [None] * len(participants) for arm in (CONTROL, TREATMENT)}  # None: no row
-        for o in self.observations:
-            if o.experiment_id != self.experiment_id:
-                raise DataError(f"observation for {o.experiment_id!r} filed under "
-                                f"replication {self.experiment_id!r}")
-            cells, i = arms[o.treatment], position[o.participant_id]
-            if cells[i] is not None:
-                raise DataError(f"duplicate observation for "
-                                f"{(self.experiment_id, o.participant_id, o.treatment)}")
-            cells[i] = math.nan if o.outcome is None else o.outcome
-        control, treatment = (np.array(arms[arm], dtype=np.float64) for arm in (CONTROL, TREATMENT))
-        if np.count_nonzero(~(np.isnan(control) & np.isnan(treatment))) < 2:
-            raise DataError(f"replication {self.experiment_id!r} needs at least 2 "
-                            f"participants with a non-missing outcome")
-        control.flags.writeable = treatment.flags.writeable = False
-        self.__dict__.update(participants=tuple(participants),
-                             control=control[:], treatment=treatment[:])
+        if _arms is None:
+            _arms = {CONTROL: {}, TREATMENT: {}}
+            for o in self.observations:
+                if o.experiment_id != self.experiment_id:
+                    raise DataError(f"observation for {o.experiment_id!r} filed under "
+                                    f"replication {self.experiment_id!r}")
+                _arms[o.treatment][o.participant_id] = o.outcome
+        self.__dict__.update(_layout(self.experiment_id, self.observations, _arms))
 
     def participant_ids(self) -> list[str]:
         return list(self.participants)
@@ -129,14 +117,31 @@ class Replication:
         """Non-missing outcomes of one arm, ordered by participant id."""
         if treatment not in (CONTROL, TREATMENT):
             raise ValueError(f"unknown arm {treatment!r} (expected {CONTROL!r} or {TREATMENT!r})")
-        arm = self.control if treatment == CONTROL else self.treatment
-        return arm[~np.isnan(arm)].tolist()
+        return self.observed[treatment == TREATMENT].tolist()
 
-    def paired_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Control and treatment outcomes of the participants with both,
-        aligned and ordered by participant id."""
-        both = ~(np.isnan(self.control) | np.isnan(self.treatment))
-        return self.control[both], self.treatment[both]
+
+def _layout(experiment_id: str, observations: Sequence[Observation],
+            arms: Mapping[str, Mapping[str, float | None]]) -> dict:
+    """A Replication's attributes from each arm's outcomes (None if missing) by participant."""
+    control, treatment = arms[CONTROL], arms[TREATMENT]
+    if len(control) + len(treatment) < len(observations):  # a row repeats: name the first
+        seen = set()
+        for o in observations:
+            if (key := (o.participant_id, o.treatment)) in seen:
+                raise DataError(f"duplicate observation for {(experiment_id, *key)}")
+            seen.add(key)
+    participants = sorted(control | treatment)
+    grid = np.array([list(map(control.get, participants)),  # None -> NaN
+                     list(map(treatment.get, participants))], dtype=np.float64)
+    present = grid == grid
+    observed, pairs = grid[present], grid.compress(present[0] & present[1], axis=1)
+    if observed.size - pairs.shape[1] < 2:  # participants with a non-missing outcome
+        raise DataError(f"replication {experiment_id!r} needs at least 2 "
+                        f"participants with a non-missing outcome")
+    grid.flags.writeable = observed.flags.writeable = pairs.flags.writeable = False
+    n = np.count_nonzero(present[0])
+    return {"participants": tuple(participants), "control": grid[0], "treatment": grid[1],
+            "observed": (observed[:n], observed[n:]), "pairs": (pairs[0], pairs[1])}
 
 
 @dataclass(frozen=True)
@@ -244,15 +249,14 @@ class CovariateRow:
                  values: tuple[int, ...]):
         if subject_type not in SUBJECT_TYPES:
             raise DataError(f"unknown subject_type {subject_type!r} ({experiment_id}/{participant_id})")
-        if id(values) not in _ORDINAL_IDS:  # the loader's shared tuples are valid as they are
-            values = tuple(values)
-            if len(values) != len(ORDINAL_COVARIATES):
-                raise DataError(f"expected one value for each of {ORDINAL_COVARIATES}, got "
-                                f"{values!r} ({experiment_id}/{participant_id})")
-            for name, v in zip(ORDINAL_COVARIATES, values):
-                if type(v) is not int or not 1 <= v <= 4:
-                    raise DataError(f"{name} must be an integer in 1..4, got {v!r} "
-                                    f"({experiment_id}/{participant_id})")
+        values = tuple(values)
+        if len(values) != len(ORDINAL_COVARIATES):
+            raise DataError(f"expected one value for each of {ORDINAL_COVARIATES}, got "
+                            f"{values!r} ({experiment_id}/{participant_id})")
+        for name, v in zip(ORDINAL_COVARIATES, values):
+            if type(v) is not int or not 1 <= v <= 4:
+                raise DataError(f"{name} must be an integer in 1..4, got {v!r} "
+                                f"({experiment_id}/{participant_id})")
         set_id, set_participant, set_subject_type, set_values = _COVARIATE_STORES
         set_id(self, experiment_id)
         set_participant(self, participant_id)
@@ -266,7 +270,17 @@ _OBSERVATION_STORES, _SUMMARY_STORES, _COVARIATE_STORES = (  # each field's slot
 
 @dataclass(frozen=True)
 class CovariateTable:
+    """``columns`` pairs each experiment, by first appearance, with its ordinal columns."""
+
     rows: tuple[CovariateRow, ...]
+
+    def __post_init__(self):
+        groups: dict[str, list[tuple[int, ...]]] = {}
+        for r in self.rows:
+            groups.setdefault(r.experiment_id, []).append(r.values)
+        self.__dict__["columns"] = tuple(  # zip(*rows) would make an iterator per row
+            (exp, tuple(tuple(map(itemgetter(i), rows)) for i in range(len(ORDINAL_COVARIATES))))
+            for exp, rows in groups.items())
 
 
 @dataclass(frozen=True)
@@ -339,7 +353,8 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     options = options or ParseOptions()
     path = Path(path)
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
-    by_experiment: dict[str, list[Observation]] = {}
+    new, (set_id, set_participant, set_treatment, set_outcome) = object.__new__, _OBSERVATION_STORES
+    by_experiment = defaultdict(lambda: ([], {CONTROL: {}, TREATMENT: {}}))  # rows, outcomes by arm
     for line, (exp, pid, label, cell) in _read_rows(path, RAW_COLUMNS):
         exp, pid = exp.strip(), pid.strip()
         if not exp or not pid:
@@ -350,17 +365,25 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
         if arm is None:
             raise DataError(f"{path}:{line}: unknown treatment label {label!r} "
                             f"(expected {options.control_label!r} or {options.treatment_label!r})")
-        try:  # Observation rejects a non-finite outcome
-            obs = Observation(exp, pid, arm, float(cell) if cell.strip() else None)
+        try:
+            outcome = float(cell) if (cell := cell.strip()) else None
+            if outcome is not None and not math.isfinite(outcome):
+                raise ValueError("non-finite outcome")
         except ValueError as err:
-            raise _row_error(f"{path}:{line}", [("outcome", cell.strip())], err) from None
-        by_experiment.setdefault(exp, []).append(obs)
+            raise _row_error(f"{path}:{line}", [("outcome", cell)], err) from None
+        records, arms = by_experiment[exp]
+        records.append(obs := new(Observation))  # its cells are validated above
+        set_id(obs, exp)
+        set_participant(obs, pid)
+        set_treatment(obs, arm)
+        set_outcome(obs, outcome)
+        arms[arm][pid] = outcome
     if not by_experiment:
         raise DataError(f"{path}: no data rows")
     # these checks span rows, so only the file can be named
     try:
-        replications = tuple(Replication(exp, options.design_of(exp), tuple(obs_list))
-                             for exp, obs_list in by_experiment.items())
+        replications = tuple(Replication(exp, options.design_of(exp), tuple(records), _arms=arms)
+                             for exp, (records, arms) in by_experiment.items())
         return ReplicationSet(replications)
     except DataError as err:
         raise DataError(f"{path}: {err}") from None
@@ -430,6 +453,7 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     # participant ids per experiment: no tuple per participant for the collector to walk
     known = None if dataset is None else {r.experiment_id: set(r.participants)
                                           for r in dataset.replications}
+    new, (set_id, set_participant, set_subject_type, set_values) = object.__new__, _COVARIATE_STORES
     rows: list[CovariateRow] = []
     seen = defaultdict(dict)  # participant ids per experiment: a dict is a quarter of a set's size
     for line, (exp, pid, subject_type, o1, o2, o3, o4) in _read_rows(path, COVARIATE_COLUMNS):
@@ -441,16 +465,21 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
             raise DataError(f"{path}:{line}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")
         try:  # CovariateRow rejects values outside 1..4; int() a non-finite one
-            ints = _ORDINAL_ROWS.get(cells)
-            if ints is None:  # a cell other than "1".."4" takes the float -> int path
+            if (ints := _ORDINAL_ROWS.get(cells)) is None:  # other than "1".."4": float -> int
                 floats = tuple(map(float, cells))
-                ints = tuple(map(int, floats))
-                if ints != floats:
+                if (ints := tuple(map(int, floats))) != floats:
                     raise ValueError("fractional ordinal")
-            row = CovariateRow(exp, pid, subject_type.strip(), ints)
+                rows.append(CovariateRow(exp, pid, subject_type.strip(), ints))
+                continue
+            if (subject_type := subject_type.strip()) not in SUBJECT_TYPES:  # as CovariateRow
+                raise DataError(f"unknown subject_type {subject_type!r} ({exp}/{pid})")
         except (ValueError, OverflowError) as err:
             raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, cells), err) from None
-        rows.append(row)
+        rows.append(row := new(CovariateRow))  # its cells are validated above
+        set_id(row, exp)
+        set_participant(row, pid)
+        set_subject_type(row, subject_type)
+        set_values(row, ints)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return CovariateTable(tuple(rows))
@@ -466,5 +495,5 @@ def complete_pairs(replication: Replication) -> PairedSample:
     if replication.design != "within":
         raise DataError(f"{replication.experiment_id}: complete pairs require a "
                         f"within-subjects design")
-    control, treatment = replication.paired_values()
+    control, treatment = replication.pairs
     return PairedSample(replication.experiment_id, tuple((treatment - control).tolist()))

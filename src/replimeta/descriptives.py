@@ -50,10 +50,15 @@ def sample_mean(values) -> float:
 
 
 def sample_variance(values) -> float:
-    """Sample variance (n-1 denominator) by np.var(ddof=1)'s reductions; 0.0 if all equal."""
+    """Sample variance (n-1 denominator) by np.var(ddof=1)'s reductions; 0.0 if all
+    equal. NaN or inf among the values, or a range past the float maximum, gives a
+    non-finite result without a numpy warning, so that callers can reject the sample."""
     x = np.asarray(values, dtype=np.float64)
-    if np.maximum.reduce(x) - np.minimum.reduce(x) == 0.0:
+    spread = float(np.maximum.reduce(x)) - float(np.minimum.reduce(x))  # Python floats do not warn
+    if spread == 0.0:
         return 0.0
+    if not math.isfinite(spread):
+        return spread
     d = x - np.add.reduce(x) / x.size
     return float(np.add.reduce(np.multiply(d, d, out=d)) / (x.size - 1))
 
@@ -77,8 +82,7 @@ def pearson_corr(x, y) -> float | None:
 
 def _observed_arms(replication: Replication) -> tuple[np.ndarray, np.ndarray]:
     """The non-missing control and treatment outcomes, ordered by participant id."""
-    control, treatment = (arm[~np.isnan(arm)]
-                          for arm in (replication.control, replication.treatment))
+    control, treatment = replication.observed
     if control.size < 2 or treatment.size < 2:
         raise ValueError(f"{replication.experiment_id}: need at least 2 non-missing "
                          f"outcomes per arm")
@@ -97,7 +101,7 @@ def summarize_replication(replication: Replication) -> SummaryRow:
     control, treatment = _observed_arms(replication)
     corr = None
     if replication.design == "within":
-        paired_c, paired_t = replication.paired_values()
+        paired_c, paired_t = replication.pairs
         corr = pearson_corr(paired_c, paired_t)
         if corr is None:
             reason = ("fewer than 2 complete pairs" if paired_c.size < 2
@@ -123,25 +127,20 @@ class CovariateSummary:
         return self.stats[name][1]
 
 
-def _covariate_columns(covariates: CovariateTable) -> dict[str, list[list[int]]]:
-    """Each experiment's ORDINAL_COVARIATES columns by first appearance; a single row warns."""
+def _covariate_columns(covariates: CovariateTable) -> tuple[tuple[str, tuple], ...]:
+    """The table's ``columns``; a single-row experiment warns."""
     if not covariates.rows:
         raise ValueError("covariate table is empty")
-    groups: dict[str, list[tuple[int, ...]]] = {}
-    for r in covariates.rows:
-        groups.setdefault(r.experiment_id, []).append(r.values)
-    for exp in [exp for exp, rows in groups.items() if len(rows) < 2]:
+    for exp in [exp for exp, columns in covariates.columns if len(columns[0]) < 2]:
         warnings.warn(f"{exp}: single covariate row; sd reported as 0", AnalysisWarning)
-    # Python ints sum exactly; zip(*rows) would set off the collector with an iterator per row
-    return {exp: [[r[i] for r in rows] for i in range(len(ORDINAL_COVARIATES))]
-            for exp, rows in groups.items()}
+    return covariates.columns
 
 
 def summarize_covariates(covariates: CovariateTable) -> list[CovariateSummary]:
     """Mean (sd) of each ordinal covariate per experiment, in order of first
     appearance. An experiment with a single row gets sd 0, and each call warns."""
     summaries = []
-    for exp, columns in _covariate_columns(covariates).items():
+    for exp, columns in _covariate_columns(covariates):
         n, sums, squares = len(columns[0]), map(sum, columns), [sum(map(mul, c, c)) for c in columns]
         stats = {name: (s / n, sqrt_of_ratio(n * q - s * s, max(n * (n - 1), 1)))
                  for name, s, q in zip(ORDINAL_COVARIATES, sums, squares)}
@@ -165,7 +164,7 @@ class ProfileSeries:
 
 def profile_series_covariates(covariates: CovariateTable) -> ProfileSeries:
     rows = tuple((exp, tuple(sum(c) / len(c) for c in columns))
-                 for exp, columns in _covariate_columns(covariates).items())
+                 for exp, columns in _covariate_columns(covariates))
     return ProfileSeries("mean experience", ORDINAL_COVARIATES, rows)
 
 

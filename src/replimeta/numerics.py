@@ -25,6 +25,9 @@ _EPS = 1e-15
 _TINY = 1e-300
 _T_QUANTILE_MAX_STEPS = 60
 _LN_SQRT_MAX = 0.5 * math.log(sys.float_info.max)
+# From this df on, t and normal tails differ far below double precision wherever
+# either is non-zero; the incomplete beta fails for df past about 1e154
+_DF_NORMAL = 1e30
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +170,8 @@ def t_cdf(x: float, df: float) -> float:
         raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
     if not math.isfinite(x):
         raise ValueError(f"t_cdf requires finite x, got {x!r}")
-    tail = _t_tail(abs(x), df, 0.0, _ln_beta(0.5 * df, 0.5))
+    tail = (0.5 * math.erfc(abs(x) / math.sqrt(2.0)) if df >= _DF_NORMAL
+            else _t_tail(abs(x), df, 0.0, _ln_beta(0.5 * df, 0.5)))
     return 1.0 - tail if x > 0 else tail
 
 
@@ -220,6 +224,8 @@ def t_quantile(p: float, df: float) -> float:
         raise ValueError(f"t_quantile requires p in (0, 1), got {p!r}")
     if p == 0.5:
         return 0.0
+    if df >= _DF_NORMAL:
+        return normal_quantile(p)
     sign, q = (-1.0, p) if p < 0.5 else (1.0, 1.0 - p)
     if df == 1.0:
         return sign / math.tan(math.pi * q)

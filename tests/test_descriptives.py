@@ -433,3 +433,12 @@ def test_covariate_summaries_of_a_large_table_make_no_object_per_row():
     assert [s.mean("java") for s in summaries] == [2.0, 4.0, 3.0]
     assert profile.rows == (("E0", (1.0, 2.0, 3.0, 4.0)), ("E1", (4.0, 4.0, 1.0, 2.0)),
                             ("E2", (2.0, 3.0, 3.0, 1.0)))
+
+
+@pytest.mark.parametrize("values", [[1.0, math.inf], [math.inf, math.inf], [-math.inf, 2.0, 3.0],
+                                    [1.0, math.nan, 2.0], [math.nan, math.nan], [-1e308, 1e308]])
+def test_sample_variance_of_a_non_finite_sample_is_non_finite_without_a_warning(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(dsc.sample_variance(values))
+        assert not math.isfinite(dsc.sample_variance(np.array(values)))

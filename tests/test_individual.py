@@ -1,5 +1,6 @@
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -135,3 +136,15 @@ def test_t_tests_reject_non_finite_sample_values_naming_the_experiment(bad):
             with pytest.raises(ValueError,
                                match="^E2: sample values and their variances must be finite$"):
                 independent_t_test(control, treatment, experiment_id="E2")
+
+
+@pytest.mark.parametrize("bad", [(1.0, math.nan, 4.0), (1.0, math.inf, 4.0), (math.inf, math.inf, 4.0),
+                                 (-math.inf, 0.0, 4.0), (-1e308, 0.0, 1e308)])
+def test_t_tests_reject_a_non_finite_sample_before_numpy_can_warn(bad):
+    # no np.errstate: a numpy RuntimeWarning would be raised here in place of the ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^E1: differences and their variance must be finite$"):
+            paired_t_test(PairedSample("E1", bad))
+        with pytest.raises(ValueError, match="^E2: sample values and their variances must be finite$"):
+            independent_t_test([1.0, 2.0], list(bad), experiment_id="E2")

@@ -341,3 +341,29 @@ def test_chisq_sf_of_an_infinite_statistic_is_zero_and_of_nan_an_error():
         assert nm.chisq_sf(math.inf, df) == 0.0
         with pytest.raises(ValueError, match="chi-square statistic must be nonnegative, got nan"):
             nm.chisq_sf(math.nan, df)
+
+
+# ---------------------------------------------------------------------------
+# the normal limit at huge df
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("df", [1e30, 1e154, 1e200, 1e300])
+def test_t_kernels_take_the_normal_limit_at_huge_df(df):
+    norm = pytest.importorskip("scipy.stats").norm
+    for x in (0.0, 0.3, 1.0, 1.96, 5.0, 12.0, 30.0, 37.0):
+        for v in (x, -x):
+            assert nm.t_sf(v, df) == pytest.approx(norm.sf(v), rel=1e-12, abs=0.0)
+            assert nm.t_cdf(v, df) == pytest.approx(norm.cdf(v), rel=1e-12, abs=0.0)
+    for p in (1e-300, 1e-12, 0.025, 0.3, 0.5, 0.975, 1.0 - 1e-12):
+        assert nm.t_quantile(p, df) == pytest.approx(norm.ppf(p), rel=1e-14, abs=0.0)
+
+
+def test_t_and_normal_paths_agree_at_the_threshold():
+    # the incomplete-beta path just below df = 1e30 against the normal limit at 1e30;
+    # from |x| of about 5 on, the t path itself loses digits at this df
+    below = math.nextafter(1e30, 0.0)
+    for x in (0.0, 0.1, 0.5, 1.0, 2.0, -2.0):
+        assert nm.t_sf(x, below) == pytest.approx(nm.t_sf(x, 1e30), rel=1e-13, abs=0.0)
+        assert nm.t_cdf(x, below) == pytest.approx(nm.t_cdf(x, 1e30), rel=1e-13, abs=0.0)
+    for p in (1e-300, 1e-10, 0.025, 0.3, 0.5, 0.975, 1.0 - 1e-16):
+        assert nm.t_quantile(p, below) == pytest.approx(nm.t_quantile(p, 1e30), rel=1e-13, abs=0.0)
