@@ -471,7 +471,7 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
                     raise ValueError("fractional ordinal")
                 rows.append(CovariateRow(exp, pid, subject_type.strip(), ints))
                 continue
-            if (subject_type := subject_type.strip()) not in SUBJECT_TYPES:  # as CovariateRow
+            if (subject_type := subject_type.strip()) not in SUBJECT_TYPES:  # CovariateRow's check
                 raise DataError(f"unknown subject_type {subject_type!r} ({exp}/{pid})")
         except (ValueError, OverflowError) as err:
             raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, cells), err) from None

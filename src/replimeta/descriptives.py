@@ -1,8 +1,8 @@
 """Per-replication and participant-characteristic descriptive statistics,
 plus the data series behind profile plots.
 
-Each function computes from the validated records on every call and leaves
-them unchanged; a degenerate input warns with AnalysisWarning on every call."""
+Each function computes on every call from the layout data built once and leaves
+it unchanged; a degenerate input warns with AnalysisWarning on every call."""
 
 from __future__ import annotations
 

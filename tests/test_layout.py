@@ -31,7 +31,7 @@ def same_bits(a, b):
 
 def random_family(seed):
     """A raw CSV (permuted header, relabelled arms, interleaved experiments, padded
-    cells, missing outcomes, absent rows) with its options and the excluded pairs."""
+    ids, missing outcomes, absent rows, exclusions) and its parse options."""
     rng = random.Random(seed)
     labels = ("ITL", "TDD")
     rows, exclude = [], set()
