@@ -54,8 +54,9 @@ COVARIATE_COLUMNS = ("experiment_id", "participant_id", "subject_type", *ORDINAL
 INTEGER_COLUMNS = frozenset(("n_control", "n_treatment", *ORDINAL_COVARIATES))
 SUBJECT_TYPES = ("professional", "student")
 DESIGNS = ("within", "between")
-# the four cells of a row spelled "1".."4" -> their ints, one tuple shared by all such rows
-_ORDINAL_ROWS = {cells: tuple(map(int, cells)) for cells in product("1234", repeat=4)}
+# a valid subject type and four cells spelled "1".."4" -> the ints, one tuple shared by such rows
+_VALID_ROWS = {(kind, *cells): ints for cells, ints in ((c, tuple(map(int, c)))
+               for c in product("1234", repeat=4)) for kind in SUBJECT_TYPES}
 
 
 class DataError(ValueError):
@@ -464,15 +465,13 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
         if known is not None and pid not in known.get(exp, ()):
             raise DataError(f"{path}:{line}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")
-        try:  # CovariateRow rejects values outside 1..4; int() a non-finite one
-            if (ints := _ORDINAL_ROWS.get(cells)) is None:  # other than "1".."4": float -> int
+        try:  # any other row: float -> int (int() rejects a non-finite cell), CovariateRow's checks
+            if (ints := _VALID_ROWS.get((subject_type, o1, o2, o3, o4))) is None:
                 floats = tuple(map(float, cells))
                 if (ints := tuple(map(int, floats))) != floats:
                     raise ValueError("fractional ordinal")
                 rows.append(CovariateRow(exp, pid, subject_type.strip(), ints))
                 continue
-            if (subject_type := subject_type.strip()) not in SUBJECT_TYPES:  # CovariateRow's check
-                raise DataError(f"unknown subject_type {subject_type!r} ({exp}/{pid})")
         except (ValueError, OverflowError) as err:
             raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, cells), err) from None
         rows.append(row := new(CovariateRow))  # its cells are validated above
