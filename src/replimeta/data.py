@@ -311,16 +311,17 @@ class ParseOptions:
             raise DataError(f"no design declared for experiment {experiment_id!r}") from None
 
 
-def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[int, Sequence[str]]]:
-    """Yield (line number, cells) for each data row of a CSV file whose header
-    names each expected column exactly once, in any order; the cells come in
-    the order of ``expected``. Blank lines are skipped; a row with too few or
-    too many fields is rejected."""
+def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator:
+    """Yield the csv reader, whose ``line_num`` names each row (read only on error, so
+    no tuple is built per row), then the cells of each data row of a CSV file whose
+    header names each expected column once, in any order, in the order of ``expected``.
+    Blank lines are skipped; a row with too few or too many fields is rejected."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = tuple(next(reader, ()))
         if len(names) != len(expected) or set(names) != set(expected):
             raise DataError(f"{path}: header {names!r} does not match expected columns {expected!r}")
+        yield reader
         width = len(names)
         reorder = None if names == expected else itemgetter(*map(names.index, expected))
         for cells in reader:
@@ -329,7 +330,7 @@ def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator[tuple[int, Seq
                     continue
                 raise DataError(f"{path}:{reader.line_num}: malformed row (expected "
                                 f"{width} fields, got {len(cells)})")
-            yield reader.line_num, cells if reorder is None else reorder(cells)
+            yield cells if reorder is None else reorder(cells)
 
 
 def _row_error(where: str, numbers: Iterable[tuple[str, str]], err: Exception) -> DataError:
@@ -356,22 +357,23 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
     new, (set_id, set_participant, set_treatment, set_outcome) = object.__new__, _OBSERVATION_STORES
     by_experiment = defaultdict(lambda: ([], {CONTROL: {}, TREATMENT: {}}))  # rows, outcomes by arm
-    for line, (exp, pid, label, cell) in _read_rows(path, RAW_COLUMNS):
+    reader = next(lines := _read_rows(path, RAW_COLUMNS))
+    for exp, pid, label, cell in lines:
         exp, pid = exp.strip(), pid.strip()
         if not exp or not pid:
-            raise DataError(f"{path}:{line}: empty experiment or participant id")
+            raise DataError(f"{path}:{reader.line_num}: empty experiment or participant id")
         if options.exclude and (exp, pid) in options.exclude:
             continue
         arm = label_map.get(label := label.strip())
         if arm is None:
-            raise DataError(f"{path}:{line}: unknown treatment label {label!r} "
+            raise DataError(f"{path}:{reader.line_num}: unknown treatment label {label!r} "
                             f"(expected {options.control_label!r} or {options.treatment_label!r})")
         try:
             outcome = float(cell) if (cell := cell.strip()) else None
             if outcome is not None and not math.isfinite(outcome):
                 raise ValueError("non-finite outcome")
         except ValueError as err:
-            raise _row_error(f"{path}:{line}", [("outcome", cell)], err) from None
+            raise _row_error(f"{path}:{reader.line_num}", [("outcome", cell)], err) from None
         records, arms = by_experiment[exp]
         records.append(obs := new(Observation))  # its cells are validated above
         set_id(obs, exp)
@@ -409,11 +411,12 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
     path = Path(path)
     rows: list[SummaryRow] = []
     seen: set[str] = set()
-    for line, cells in _read_rows(path, SUMMARY_COLUMNS):
+    reader = next(lines := _read_rows(path, SUMMARY_COLUMNS))
+    for cells in lines:
         exp, n_c, n_t, m_c, s_c, m_t, s_t, corr, design = cells
         exp = exp.strip()
         if exp in seen:
-            raise DataError(f"{path}:{line}: duplicate summary row for {exp!r}")
+            raise DataError(f"{path}:{reader.line_num}: duplicate summary row for {exp!r}")
         seen.add(exp)
         try:  # SummaryRow rejects non-finite moments and corr; int() a non-finite count
             n_c, n_t = float(n_c), float(n_t)
@@ -424,7 +427,7 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
         except (ValueError, OverflowError) as err:
             numbers = [("corr", corr.strip())] if corr.strip() else []
             numbers += zip(SUMMARY_COLUMNS[1:7], cells[1:7])
-            raise _row_error(f"{path}:{line}", numbers, err) from None
+            raise _row_error(f"{path}:{reader.line_num}", numbers, err) from None
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -457,13 +460,14 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     new, (set_id, set_participant, set_subject_type, set_values) = object.__new__, _COVARIATE_STORES
     rows: list[CovariateRow] = []
     seen = defaultdict(dict)  # participant ids per experiment: a dict is a quarter of a set's size
-    for line, (exp, pid, subject_type, o1, o2, o3, o4) in _read_rows(path, COVARIATE_COLUMNS):
+    reader = next(lines := _read_rows(path, COVARIATE_COLUMNS))
+    for exp, pid, subject_type, o1, o2, o3, o4 in lines:
         exp, pid, cells = exp.strip(), pid.strip(), (o1, o2, o3, o4)  # ORDINAL_COVARIATES order
         if pid in (ids := seen[exp]):
-            raise DataError(f"{path}:{line}: duplicate covariate row for {(exp, pid)}")
+            raise DataError(f"{path}:{reader.line_num}: duplicate covariate row for {(exp, pid)}")
         ids[pid] = None
         if known is not None and pid not in known.get(exp, ()):
-            raise DataError(f"{path}:{line}: participant {pid!r} of experiment {exp!r} "
+            raise DataError(f"{path}:{reader.line_num}: participant {pid!r} of experiment {exp!r} "
                             f"is not present in the raw data")
         try:  # any other row: float -> int (int() rejects a non-finite cell), CovariateRow's checks
             if (ints := _VALID_ROWS.get((subject_type, o1, o2, o3, o4))) is None:
@@ -473,7 +477,7 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
                 rows.append(CovariateRow(exp, pid, subject_type.strip(), ints))
                 continue
         except (ValueError, OverflowError) as err:
-            raise _row_error(f"{path}:{line}", zip(ORDINAL_COVARIATES, cells), err) from None
+            raise _row_error(f"{path}:{reader.line_num}", zip(ORDINAL_COVARIATES, cells), err) from None
         rows.append(row := new(CovariateRow))  # its cells are validated above
         set_id(row, exp)
         set_participant(row, pid)

@@ -150,8 +150,9 @@ def test_loaded_covariate_columns_follow_the_file(tmp_path):
                    encoding="utf-8")
     cov = tmp_path / "cov.csv"
     cov.write_text("junit,experiment_id,participant_id,subject_type,programming,java,unit_testing\n"
-                   "1,E2,q2,student,4,3,2\n2,E1,p1,student,1,1,1\n3.0,E1,p2,professional, 2 ,3,4\n",
+                   "1,E2,q2,student,4,3,2\n2,E1,p1, student ,1,1,1\n3.0,E1,p2,professional, 2 ,3,4\n",
                    encoding="utf-8")
     table = rd.load_covariates(cov, rd.load_raw_dataset(raw))
+    assert [r.subject_type for r in table.rows] == ["student", "student", "professional"]
     assert table.columns == regroup(table.rows) == (
         ("E2", ((4,), (3,), (2,), (1,))), ("E1", ((1, 2), (1, 3), (1, 4), (2, 3))))
