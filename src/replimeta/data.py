@@ -2,9 +2,10 @@
 
 Raw data travel in a long-format CSV (one row per observation); summary
 statistics and participant covariates have their own documented schemas.
-``_layout`` lays each Replication out once, from the loader's parsed cells or a
-hand-built one's observations; arms, pairs and lookups read it, as descriptives
-read a CovariateTable's columns, grouped on construction. Per-row records are
+A Replication is laid out once, by ``__post_init__`` from its observations,
+however it was built: by hand, by the loader, or by ``copy``, ``deepcopy`` or
+``pickle``. Arms, pairs and lookups read that layout, as descriptives read a
+CovariateTable's columns, grouped on construction. Per-row records are
 frozen, slotted dataclasses with a validating, hand-written ``__init__`` that the
 loader skips for the cells it validated. All structures are immutable.
 """
@@ -14,11 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -86,7 +87,8 @@ class Observation:
 
 @dataclass(frozen=True)
 class Replication:
-    """One experiment's observations, laid out once by ``_layout``.
+    """One experiment's observations, laid out once by ``__post_init__``, the one path
+    of every construction: ``copy``, ``deepcopy`` and ``pickle`` rebuild from the fields.
 
     ``participants`` holds the sorted participant ids; ``control`` and ``treatment``
     align with it, NaN where an outcome is missing or absent; ``observed`` holds each
@@ -97,19 +99,38 @@ class Replication:
     experiment_id: str
     design: str  # "within" or "between"
     observations: tuple[Observation, ...]
-    _arms: InitVar[dict | None] = field(default=None, kw_only=True)  # the loader's outcomes by arm
 
-    def __post_init__(self, _arms):
+    def __post_init__(self):
+        experiment_id, observations = self.experiment_id, self.observations
         if self.design not in DESIGNS:
-            raise DataError(f"unknown design {self.design!r} for {self.experiment_id}")
-        if _arms is None:
-            _arms = {CONTROL: {}, TREATMENT: {}}
-            for o in self.observations:
-                if o.experiment_id != self.experiment_id:
-                    raise DataError(f"observation for {o.experiment_id!r} filed under "
-                                    f"replication {self.experiment_id!r}")
-                _arms[o.treatment][o.participant_id] = o.outcome
-        self.__dict__.update(_layout(self.experiment_id, self.observations, _arms))
+            raise DataError(f"unknown design {self.design!r} for {experiment_id}")
+        arms = control, treatment = {}, {}  # each arm's outcome (None if missing) by participant
+        for o in observations:
+            if o.experiment_id != experiment_id:
+                raise DataError(f"observation for {o.experiment_id!r} filed under "
+                                f"replication {experiment_id!r}")
+            arms[o.treatment == TREATMENT][o.participant_id] = o.outcome
+        if len(control) + len(treatment) < len(observations):  # a row repeats: name the first
+            seen = set()
+            for o in observations:
+                if (key := (o.participant_id, o.treatment)) in seen:
+                    raise DataError(f"duplicate observation for {(experiment_id, *key)}")
+                seen.add(key)
+        participants = sorted(control | treatment)
+        grid = np.array([list(map(control.get, participants)),  # None -> NaN
+                         list(map(treatment.get, participants))], dtype=np.float64)
+        present = grid == grid
+        observed, pairs = grid[present], grid.compress(present[0] & present[1], axis=1)
+        if observed.size - pairs.shape[1] < 2:  # participants with a non-missing outcome
+            raise DataError(f"replication {experiment_id!r} needs at least 2 "
+                            f"participants with a non-missing outcome")
+        grid.flags.writeable = observed.flags.writeable = pairs.flags.writeable = False
+        n = np.count_nonzero(present[0])
+        self.__dict__.update(participants=tuple(participants), control=grid[0], treatment=grid[1],
+                             observed=(observed[:n], observed[n:]), pairs=(pairs[0], pairs[1]))
+
+    def __reduce__(self):
+        return type(self), (self.experiment_id, self.design, self.observations)
 
     def participant_ids(self) -> list[str]:
         return list(self.participants)
@@ -119,30 +140,6 @@ class Replication:
         if treatment not in (CONTROL, TREATMENT):
             raise ValueError(f"unknown arm {treatment!r} (expected {CONTROL!r} or {TREATMENT!r})")
         return self.observed[treatment == TREATMENT].tolist()
-
-
-def _layout(experiment_id: str, observations: Sequence[Observation],
-            arms: Mapping[str, Mapping[str, float | None]]) -> dict:
-    """A Replication's attributes from each arm's outcomes (None if missing) by participant."""
-    control, treatment = arms[CONTROL], arms[TREATMENT]
-    if len(control) + len(treatment) < len(observations):  # a row repeats: name the first
-        seen = set()
-        for o in observations:
-            if (key := (o.participant_id, o.treatment)) in seen:
-                raise DataError(f"duplicate observation for {(experiment_id, *key)}")
-            seen.add(key)
-    participants = sorted(control | treatment)
-    grid = np.array([list(map(control.get, participants)),  # None -> NaN
-                     list(map(treatment.get, participants))], dtype=np.float64)
-    present = grid == grid
-    observed, pairs = grid[present], grid.compress(present[0] & present[1], axis=1)
-    if observed.size - pairs.shape[1] < 2:  # participants with a non-missing outcome
-        raise DataError(f"replication {experiment_id!r} needs at least 2 "
-                        f"participants with a non-missing outcome")
-    grid.flags.writeable = observed.flags.writeable = pairs.flags.writeable = False
-    n = np.count_nonzero(present[0])
-    return {"participants": tuple(participants), "control": grid[0], "treatment": grid[1],
-            "observed": (observed[:n], observed[n:]), "pairs": (pairs[0], pairs[1])}
 
 
 @dataclass(frozen=True)
@@ -356,7 +353,7 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     path = Path(path)
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
     new, (set_id, set_participant, set_treatment, set_outcome) = object.__new__, _OBSERVATION_STORES
-    by_experiment = defaultdict(lambda: ([], {CONTROL: {}, TREATMENT: {}}))  # rows, outcomes by arm
+    by_experiment = defaultdict(list)
     reader = next(lines := _read_rows(path, RAW_COLUMNS))
     for exp, pid, label, cell in lines:
         exp, pid = exp.strip(), pid.strip()
@@ -374,19 +371,17 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
                 raise ValueError("non-finite outcome")
         except ValueError as err:
             raise _row_error(f"{path}:{reader.line_num}", [("outcome", cell)], err) from None
-        records, arms = by_experiment[exp]
-        records.append(obs := new(Observation))  # its cells are validated above
+        by_experiment[exp].append(obs := new(Observation))  # its cells are validated above
         set_id(obs, exp)
         set_participant(obs, pid)
         set_treatment(obs, arm)
         set_outcome(obs, outcome)
-        arms[arm][pid] = outcome
     if not by_experiment:
         raise DataError(f"{path}: no data rows")
     # these checks span rows, so only the file can be named
     try:
-        replications = tuple(Replication(exp, options.design_of(exp), tuple(records), _arms=arms)
-                             for exp, (records, arms) in by_experiment.items())
+        replications = tuple(Replication(exp, options.design_of(exp), tuple(records))
+                             for exp, records in by_experiment.items())
         return ReplicationSet(replications)
     except DataError as err:
         raise DataError(f"{path}: {err}") from None

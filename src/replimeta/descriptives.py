@@ -7,6 +7,7 @@ it unchanged; a degenerate input warns with AnalysisWarning on every call."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from operator import mul
@@ -51,7 +52,7 @@ def sample_mean(values) -> float:
 
 def sample_variance(values) -> float:
     """Sample variance (n-1 denominator) by np.var(ddof=1)'s reductions; 0.0 if all
-    equal. NaN or inf among the values, or a range past the float maximum, gives a
+    equal. NaN or inf among the values, or a variance past the float maximum, gives a
     non-finite result without a numpy warning, so that callers can reject the sample."""
     x = np.asarray(values, dtype=np.float64)
     spread = float(np.maximum.reduce(x)) - float(np.minimum.reduce(x))  # Python floats do not warn
@@ -59,8 +60,14 @@ def sample_variance(values) -> float:
         return 0.0
     if not math.isfinite(spread):
         return spread
+    # n spread^2 bounds the sum of squares, and values whose sum can overflow differ by more
+    # than sqrt(max / n): past that, divide by a power of two, which keeps the bits
+    scale = 1.0
+    if spread > math.sqrt(sys.float_info.max / x.size):
+        scale = math.ldexp(1.0, math.frexp(spread)[1])
+        x = x / scale
     d = x - np.add.reduce(x) / x.size
-    return float(np.add.reduce(np.multiply(d, d, out=d)) / (x.size - 1))
+    return float(np.add.reduce(np.multiply(d, d, out=d)) / (x.size - 1)) * scale * scale
 
 
 def _median(values: np.ndarray) -> float:

@@ -1,8 +1,8 @@
 """Numerical kernel: distribution functions and quantiles.
 
-Distribution functions are implemented on top of the regularized incomplete
-beta and gamma functions (continued fractions with series fallback), so the
-package carries no runtime dependency on scipy.
+The t tails run one continued fraction of the incomplete beta at (df/2, 1/2),
+chosen in ``_t_tail``; the chi-square tail is the regularized upper gamma
+(continued fraction with series fallback). No runtime dependency on scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _TINY = 1e-300
 _T_QUANTILE_MAX_STEPS = 60
 _LN_SQRT_MAX = 0.5 * math.log(sys.float_info.max)
 # From this df on, t and normal tails differ far below double precision wherever
-# either is non-zero; the incomplete beta fails for df past about 1e154
+# either is non-zero; the t tail's continued fraction fails for df past about 1e154
 _DF_NORMAL = 1e30
 
 
@@ -95,19 +95,6 @@ def _ln_beta(a: float, b: float) -> float:
     return math.lgamma(a) + ((w - v) - u if u > v else (w - u) - v)
 
 
-def _incomplete_beta(a: float, b: float, x: float, y: float, ln_beta: float) -> float:
-    """I_x(a, b) from x and y = 1 - x, each to full relative precision, and ln B(a, b)."""
-    if x == 0.0 or y == 0.0:
-        return 0.0 if x == 0.0 else 1.0
-    lam = a - (a + b) * x if a <= b else (a + b) * y - b
-    front = math.exp(a * (math.log(x) if x < 0.5 else math.log1p(-y))
-                     + b * (math.log1p(-x) if x < 0.5 else math.log(y)) - ln_beta)
-    # the continued fraction converges fastest below the distribution mode
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_frac(a, b, x, y, lam)
-    return 1.0 - front * _beta_frac(b, a, y, x, -lam)
-
-
 def _gamma_series(s: float, x: float) -> float:
     """Series expansion of the regularized lower incomplete gamma P(s, x)."""
     term = 1.0 / s
@@ -150,18 +137,23 @@ def _gamma_cont_frac(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _t_tail(x: float, df: float, q: float, ln_beta: float) -> float:
-    """P(T > x) - q for x >= 0, from I_z(df/2, 1/2) / 2 with z = df/(df + x^2)
-    and ln_beta = ln B(df/2, 1/2).
-
-    Where that continued fraction would be run on 1 - z instead, this takes
-    (1/2 - q) minus the central mass I_{1-z}(1/2, df/2) / 2: a subtraction from
-    1/2 would drop the digits of a small x. 1 - z is formed as x^2/(df + x^2).
-    """
+    """P(T > x) - q for x >= 0 and ln_beta = ln B(df/2, 1/2). With z = df/(df + x^2)
+    and y = 1 - z, formed as x^2/(df + x^2), one test on y chooses: below the mode,
+    y > 1.5/(df/2 + 2.5), the tail I_z(df/2, 1/2) / 2 by the continued fraction on z;
+    else (1/2 - q) minus the central mass I_y(1/2, df/2) / 2, which keeps the digits
+    of a small x. A test on z fails from df of about 1e16, where its bound rounds to 1."""
     x2 = x * x
     z, y = df / (df + x2), x2 / (df + x2)
-    if z < (0.5 * df + 1.0) / (0.5 * df + 2.5):
-        return 0.5 * _incomplete_beta(0.5 * df, 0.5, z, y, ln_beta) - q
-    return (0.5 - q) - 0.5 * _incomplete_beta(0.5, 0.5 * df, y, z, ln_beta)
+    if z == 0.0 or y == 0.0:
+        return (0.5 if y == 0.0 else 0.0) - q
+    a = 0.5 * df
+    front = math.exp(a * (math.log(z) if z < 0.5 else math.log1p(-y))
+                     + 0.5 * (math.log1p(-z) if z < 0.5 else math.log(y)) - ln_beta)
+    if y > 1.5 / (a + 2.5):
+        lam = a - (a + 0.5) * z if a <= 0.5 else (a + 0.5) * y - 0.5
+        return 0.5 * (front * _beta_frac(a, 0.5, z, y, lam)) - q
+    lam = (a + 0.5) * z - a if a < 0.5 else 0.5 - (a + 0.5) * y
+    return (0.5 - q) - 0.5 * (front * _beta_frac(0.5, a, y, z, lam))
 
 
 def t_cdf(x: float, df: float) -> float:

@@ -31,6 +31,33 @@ def test_every_name_imported_from_a_sibling_is_exported(module):
     assert unexported == []
 
 
+def test_every_private_module_name_is_used_in_the_package():
+    # a private helper that only tests call is dead code: each module-level private name
+    # must be read somewhere in the package outside its own definition
+    trees = [ast.parse(inspect.getsource(module)) for module in MODULES]
+    reads = {}  # name -> the nodes that read it
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        reads.setdefault(name, []).append(node)
+    unused = []
+    for module, tree in zip(MODULES, trees):
+        for definition in tree.body:
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                names = [definition.name]
+            elif isinstance(definition, (ast.Assign, ast.AnnAssign)):
+                targets = definition.targets if isinstance(definition, ast.Assign) else [definition.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = set(map(id, ast.walk(definition)))
+            unused += [f"{module.__name__}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and all(id(n) in own for n in reads.get(name, ()))]
+    assert unused == []
+
+
 def _hand_initialised_dataclasses():
     return [cls for module in MODULES for cls in vars(module).values()
             if isinstance(cls, type) and cls.__module__ == module.__name__

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -360,6 +362,29 @@ def test_layout_arrays_are_read_only():
     for arm in (rep.control, rep.treatment):
         with pytest.raises(ValueError, match="read-only"):
             arm[0] = 0.0
+
+
+CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_copies_and_pickles_lay_out_again_with_read_only_arrays(tmp_path, clone):
+    # each rebuilds a Replication from its fields, through the one layout of __init__
+    text = RAW_MINIMAL + "E1,p3,control,\nE1,p3,treatment,9\nE2,q1,control,1\nE2,q2,treatment,2\n" \
+                         "E2,q3,control,3\n"
+    dataset = rd.load_raw_dataset(write(tmp_path / "raw.csv", text),
+                                  rd.ParseOptions(design={"E1": "within", "E2": "between"}))
+    twins = clone(dataset)
+    assert twins == dataset and twins.experiment_ids() == ["E1", "E2"]
+    assert [twins.replication(e) for e in ("E1", "E2")] == list(twins.replications)
+    for rep, twin in [*zip(dataset.replications, twins.replications),
+                      (dataset.replications[0], clone(dataset.replications[0]))]:
+        assert twin == rep and twin.participants == rep.participants
+        for got, want in zip((twin.control, twin.treatment, *twin.observed, *twin.pairs),
+                             (rep.control, rep.treatment, *rep.observed, *rep.pairs)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.float64 and not got.flags.writeable
 
 
 def test_replication_rejects_duplicate_participant_arm():

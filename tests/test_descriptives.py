@@ -442,3 +442,15 @@ def test_sample_variance_of_a_non_finite_sample_is_non_finite_without_a_warning(
         warnings.simplefilter("error")
         assert not math.isfinite(dsc.sample_variance(values))
         assert not math.isfinite(dsc.sample_variance(np.array(values)))
+
+
+@pytest.mark.parametrize("values, variance", [
+    ([1e308, 1.5e308], math.inf),  # the sum overflows
+    ([0.0, 1e200], math.inf),  # the squares overflow
+    ([-1e154, 0.0, 1e154], 1e308),  # the sum of squares overflows, the variance does not
+    ([0.0, 1e154] * 500, float(np.var([0.0, 1.0] * 500, ddof=1)) * 1e154 * 1e154),  # n spread^2 does
+], ids=["sum", "squares", "sum-of-squares", "n-spread-squared"])
+def test_sample_variance_of_huge_values_needs_no_warning(values, variance):
+    # no np.errstate: the suite's filterwarnings = error would raise numpy's overflow warning
+    for kind in (list, tuple, np.array):
+        assert dsc.sample_variance(kind(values)) == pytest.approx(variance, rel=1e-15)

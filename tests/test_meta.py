@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replimeta.descriptives import AnalysisWarning
@@ -118,18 +118,22 @@ def test_meta_regression_keeps_its_digits_for_a_moderator_far_from_zero(seed):
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 100.0), st.booleans(), st.floats(-1e4, 1e4))
+@example(98, 0.01171875, False, 4096.0)
 @settings(max_examples=100, deadline=None)
 def test_meta_regression_under_affine_moderator(seed, a, negate, b):
-    # x -> a x + b leaves tau^2 as it is and scales the slope by 1 / a
+    # x -> a x + b leaves tau^2 as it is and scales the slope by 1 / a, but only in exact
+    # arithmetic: rounding a x + b moves tau^2 by up to 1.2e-8 (seed=98, a=0.01171875,
+    # b=4096), so each fit is held to the exact fit of its own rounded moderator
     a = -a if negate else a
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 3.0, 12)
     v = rng.uniform(0.02, 0.3, 12)
     d = 0.3 * x + rng.normal(0.0, 0.6, 12)
-    base, moved = (meta_regression([effect(f"S{i}", *row) for i, row in enumerate(zip(d, v, xs))])
-                   for xs in (x, a * x + b))
-    assert moved.tau2 == pytest.approx(base.tau2, rel=1e-8, abs=1e-12)
-    assert moved.slope == pytest.approx(base.slope / a, rel=1e-8, abs=1e-8 * base.slope_se / abs(a))
+    for xs in (x, a * x + b):
+        res = meta_regression([effect(f"S{i}", *row) for i, row in enumerate(zip(d, v, xs))])
+        tau2, slope = exact_moment_meta_regression(d, v, xs)
+        assert res.tau2 == pytest.approx(float(tau2), rel=1e-8, abs=1e-12)
+        assert res.slope == pytest.approx(float(slope), rel=1e-8, abs=1e-8 * res.slope_se)
 
 
 def test_dl_pool_closed_form():

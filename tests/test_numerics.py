@@ -238,15 +238,12 @@ def test_t_sf_against_scipy_grid_up_to_df_1e6():
                 assert nm.t_sf(t, df) == pytest.approx(expected, rel=1e-12, abs=1e-300), (t, df)
 
 
-def incomplete_beta(a, b, x):
-    return nm._incomplete_beta(a, b, x, 1.0 - x, nm._ln_beta(a, b))
-
-
 def test_t_sf_at_the_large_df_points_of_the_old_defect():
     # lgamma(a + b) - lgamma(a) - lgamma(b) put these 1e-11 to 1.6e-9 off
     for x, df in ((1.96, 1e4), (1.96, 1e6), (1.0, 1e6), (3.0, 1e5), (0.5, 1e6)):
         assert nm.t_sf(x, df) == pytest.approx(scipy_stats.t.sf(x, df), rel=1e-14, abs=0)
-    assert incomplete_beta(5e5, 0.5, 1e6 / (1e6 + 1.96 ** 2)) == pytest.approx(
+    # 2 t_sf(x, df) = I_z(df/2, 1/2) at z = df/(df + x^2)
+    assert 2.0 * nm.t_sf(1.96, 1e6) == pytest.approx(
         scipy_special.betainc(5e5, 0.5, 1e6 / (1e6 + 1.96 ** 2)), rel=1e-10)
 
 
@@ -257,23 +254,28 @@ def test_t_sf_extremes():
 
 
 def test_regularized_incomplete_beta_against_scipy():
-    for a, b in ((0.5, 0.5), (0.5, 3.0), (2.0, 0.5), (7.5, 9.0), (40.0, 0.5), (0.5, 1e3), (300.0, 200.0)):
-        for x in (0.0, 1e-6, 0.01, 0.2, 0.5, 0.7, 0.99, 1.0):
-            assert incomplete_beta(a, b, x) == pytest.approx(
-                scipy_special.betainc(a, b, x), rel=1e-12, abs=1e-300), (a, b, x)
+    # t_sf(t, df) = I_z(df/2, 1/2) / 2 = (1 - I_y(1/2, df/2)) / 2 with z = df/(df + t^2) and
+    # y = t^2/(df + t^2): each t-shaped pair (a, b), its argument z or y set to x
+    for a, b in ((0.5, 0.5), (0.5, 3.0), (2.0, 0.5), (40.0, 0.5), (0.5, 1e3)):
+        df = 2.0 * (a if b == 0.5 else b)
+        for x in (1e-6, 0.01, 0.2, 0.5, 0.7, 0.99):
+            if b == 0.5:
+                t = math.sqrt(df * (1.0 - x) / x)
+                expected = 0.5 * scipy_special.betainc(a, b, df / (df + t * t))
+            else:
+                t = math.sqrt(df * x / (1.0 - x))
+                expected = 0.5 * scipy_special.betaincc(a, b, t * t / (df + t * t))
+            assert nm.t_sf(t, df) == pytest.approx(expected, rel=1e-12, abs=1e-300), (a, b, x)
 
 
 def test_regularized_incomplete_beta_closed_forms_near_one():
-    # I_x(1/2, 1/2) = (2/pi) asin(sqrt(x)); I_x(a, 1) = x^a; I_x(1, b) = 1 - (1 - x)^b,
-    # with 1 - x exact for x >= 1/2
-    for x in (0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 2.0 ** -40):
-        arcsine = (2.0 / math.pi * math.asin(math.sqrt(x)) if x <= 0.5
-                   else 1.0 - 2.0 / math.pi * math.asin(math.sqrt(1.0 - x)))
-        assert incomplete_beta(0.5, 0.5, x) == pytest.approx(arcsine, rel=1e-14)
-        for a in (0.5, 3.0, 50.0):
-            assert incomplete_beta(a, 1.0, x) == pytest.approx(x ** a, rel=1e-13)
-            assert incomplete_beta(1.0, a, x) == pytest.approx(
-                -math.expm1(a * math.log1p(-x)), rel=1e-13)
+    # I_z(1/2, 1/2) = (2/pi) asin(sqrt(z)) is twice the Cauchy tail t_sf(t, 1) = 1/2 - atan(t)/pi,
+    # written atan(1/t)/pi for t > 0; z = 1/(1 + t^2) lies near 1 for a small t
+    for t in (1e-9, 2.0 ** -40, 0.3, 1.0, 3.0, 1e3, 1e9):
+        tail = math.atan(1.0 / t) / math.pi
+        assert nm.t_sf(t, 1.0) == pytest.approx(tail, rel=1e-14)
+        assert nm.t_cdf(-t, 1.0) == pytest.approx(tail, rel=1e-14)
+        assert nm.t_sf(-t, 1.0) == pytest.approx(1.0 - tail, rel=1e-14)
 
 
 def test_t_quantile_df2_closed_form():
@@ -356,6 +358,20 @@ def test_t_kernels_take_the_normal_limit_at_huge_df(df):
             assert nm.t_cdf(v, df) == pytest.approx(norm.cdf(v), rel=1e-12, abs=0.0)
     for p in (1e-300, 1e-12, 0.025, 0.3, 0.5, 0.975, 1.0 - 1e-12):
         assert nm.t_quantile(p, df) == pytest.approx(norm.ppf(p), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("df", [1e4, 1e6, 1e10, 1e15, 1e16, 3e17, 1e18, 1e20, 1e25,
+                                math.nextafter(1e30, 0.0)])
+def test_t_tails_keep_their_digits_up_to_the_normal_limit(df):
+    # a branch test on z = df/(df + x^2) rounded to 1 from df of about 1e16 and gave
+    # t_sf(10, 1e20) = 0.0; mpmath, not scipy, is the oracle: scipy's t.sf is 4e-12 off here
+    mpmath = pytest.importorskip("mpmath")
+    for x in (0.0, 1e-8, 0.5, 1.0, 1.96, 3.0, 5.0, 10.0, 20.0, 30.0):
+        with mpmath.workdps(60):
+            v, n = mpmath.mpf(x), mpmath.mpf(df)
+            tail = float(mpmath.betainc(n / 2, 0.5, 0, n / (n + v * v), regularized=True) / 2)
+        assert nm.t_sf(x, df) == pytest.approx(tail, rel=1e-12, abs=0.0), x
+        assert nm.t_cdf(-x, df) == pytest.approx(tail, rel=1e-12, abs=0.0), x
 
 
 def test_t_and_normal_paths_agree_at_the_threshold():
