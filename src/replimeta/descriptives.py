@@ -61,10 +61,11 @@ def sample_variance(values) -> float:
     if not math.isfinite(spread):
         return spread
     # n spread^2 bounds the sum of squares, and values whose sum can overflow differ by more
-    # than sqrt(max / n): past that, divide by a power of two, which keeps the bits
+    # than sqrt(max / n): past that, divide by the power of two at or below the range, which
+    # keeps the bits and leaves a range below 2; 2^1024 itself would overflow
     scale = 1.0
     if spread > math.sqrt(sys.float_info.max / x.size):
-        scale = math.ldexp(1.0, math.frexp(spread)[1])
+        scale = math.ldexp(1.0, math.frexp(spread)[1] - 1)
         x = x / scale
     d = x - np.add.reduce(x) / x.size
     return float(np.add.reduce(np.multiply(d, d, out=d)) / (x.size - 1)) * scale * scale

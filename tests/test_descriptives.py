@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import statistics
+import sys
 import warnings
 from fractions import Fraction
 
@@ -449,7 +450,12 @@ def test_sample_variance_of_a_non_finite_sample_is_non_finite_without_a_warning(
     ([0.0, 1e200], math.inf),  # the squares overflow
     ([-1e154, 0.0, 1e154], 1e308),  # the sum of squares overflows, the variance does not
     ([0.0, 1e154] * 500, float(np.var([0.0, 1.0] * 500, ddof=1)) * 1e154 * 1e154),  # n spread^2 does
-], ids=["sum", "squares", "sum-of-squares", "n-spread-squared"])
+    ([0.0, 1e308], math.inf),  # a range of 2^1023 or more, up to the float maximum
+    ([-1e308, 0.0], math.inf),
+    ([-5e307, 5e307], math.inf),
+    ([0.0, sys.float_info.max], math.inf),
+], ids=["sum", "squares", "sum-of-squares", "n-spread-squared", "range-1e308", "range-minus-1e308",
+        "range-about-2^1023", "range-float-max"])
 def test_sample_variance_of_huge_values_needs_no_warning(values, variance):
     # no np.errstate: the suite's filterwarnings = error would raise numpy's overflow warning
     for kind in (list, tuple, np.array):

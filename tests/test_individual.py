@@ -150,7 +150,8 @@ def test_t_tests_reject_a_non_finite_sample_before_numpy_can_warn(bad):
             independent_t_test([1.0, 2.0], list(bad), experiment_id="E2")
 
 
-@pytest.mark.parametrize("bad", [(1e308, 1.5e308), (0.0, 1e200), (-1e200, 0.0, 1e200)])
+@pytest.mark.parametrize("bad", [(1e308, 1.5e308), (0.0, 1e200), (-1e200, 0.0, 1e200), (0.0, 1e308),
+                                 (-1e308, 0.0), (-5e307, 5e307)])
 def test_t_tests_reject_a_variance_past_the_float_range_naming_the_experiment(bad):
     # finite values whose sum or squares overflow: the suite's filterwarnings = error turns
     # a numpy overflow warning into an error, so this passes only if none is raised
