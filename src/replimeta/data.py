@@ -410,6 +410,8 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
     for cells in lines:
         exp, n_c, n_t, m_c, s_c, m_t, s_t, corr, design = cells
         exp = exp.strip()
+        if not exp:
+            raise DataError(f"{path}:{reader.line_num}: empty experiment or participant id")
         if exp in seen:
             raise DataError(f"{path}:{reader.line_num}: duplicate summary row for {exp!r}")
         seen.add(exp)
@@ -458,6 +460,8 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     reader = next(lines := _read_rows(path, COVARIATE_COLUMNS))
     for exp, pid, subject_type, o1, o2, o3, o4 in lines:
         exp, pid, cells = exp.strip(), pid.strip(), (o1, o2, o3, o4)  # ORDINAL_COVARIATES order
+        if not exp or not pid:
+            raise DataError(f"{path}:{reader.line_num}: empty experiment or participant id")
         if pid in (ids := seen[exp]):
             raise DataError(f"{path}:{reader.line_num}: duplicate covariate row for {(exp, pid)}")
         ids[pid] = None

@@ -77,13 +77,24 @@ def _median(values: np.ndarray) -> float:
     return float(s[h]) if values.size % 2 else float((s[h - 1] + s[h]) / 2.0)
 
 
+def _centred(x: np.ndarray) -> np.ndarray | None:
+    """x minus its mean; None for a constant x. Where the range overflows, the sum of squared
+    deviations could overflow, or the squared range, below 2^-970, nears the subnormals, x is
+    first divided by the power of two at or below its largest magnitude: r is scale-free."""
+    top, bottom = float(np.maximum.reduce(x)), float(np.minimum.reduce(x))  # Python floats do not warn
+    spread = top - bottom
+    if spread == 0.0:
+        return None
+    if not 2.0 ** -485 < spread < math.sqrt(sys.float_info.max / x.size):
+        x = x / math.ldexp(1.0, math.frexp(max(top, -bottom))[1] - 1)
+    return x - np.add.reduce(x) / x.size
+
+
 def pearson_corr(x, y) -> float | None:
     """Pearson correlation; None for fewer than 2 points or a constant input."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if (x.shape != y.shape or x.size < 2 or np.maximum.reduce(x) - np.minimum.reduce(x) == 0
-            or np.maximum.reduce(y) - np.minimum.reduce(y) == 0):
+    if x.shape != y.shape or x.size < 2 or (dx := _centred(x)) is None or (dy := _centred(y)) is None:
         return None
-    dx, dy = x - np.add.reduce(x) / x.size, y - np.add.reduce(y) / y.size
     r = float(dx @ dy) / math.sqrt(dx @ dx) / math.sqrt(dy @ dy)
     return max(-1.0, min(1.0, r))
 

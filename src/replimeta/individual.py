@@ -78,12 +78,12 @@ def independent_t_test(control: list[float], treatment: list[float],
     """
     n_c, n_t = len(control), len(treatment)
     if n_c < 2 or n_t < 2:
-        raise ValueError("each arm needs at least 2 observations")
+        raise ValueError(f"{experiment_id}: each arm needs at least 2 observations")
     var_c, var_t = sample_variance(control), sample_variance(treatment)
     if not math.isfinite(var_c + var_t):  # as in paired_t_test
         raise ValueError(f"{experiment_id}: sample values and their variances must be finite")
     if var_c == 0.0 and var_t == 0.0:
-        raise ValueError("both arms have zero variance")
+        raise ValueError(f"{experiment_id}: both arms have zero variance")
     estimate = sample_mean(treatment) - sample_mean(control)
     if welch:
         a, b = var_c / n_c, var_t / n_t

@@ -25,6 +25,8 @@ _EPS = 1e-15
 _TINY = 1e-300
 _T_QUANTILE_MAX_STEPS = 60
 _LN_SQRT_MAX = 0.5 * math.log(sys.float_info.max)
+_LN_FAR_EXACT = 500.0 * math.log(2.0)  # ln 2^500: where t_quantile takes the power law
+_SUBNORMAL_SPACING = math.ulp(0.0)  # 2^-1074
 # From this df on, t and normal tails differ far below double precision wherever
 # either is non-zero; the t tail's continued fraction fails for df past about 1e154
 _DF_NORMAL = 1e30
@@ -199,16 +201,15 @@ def t_quantile(p: float, df: float) -> float:
     """Inverse CDF of Student's t.
 
     Solves tail(x) = q for x >= 0 with q = min(p, 1 - p), where tail is the
-    upper tail P(T > x), so that a p near 0 or 1 keeps its digits. The seed
-    is Hill's Alg. 396 for df > 1 and the far-tail power law
-    x = sqrt(df) (q df B(df/2, 1/2))^(-1/df) otherwise. Two closed forms are
-    returned as they are: the Cauchy quantile 1/tan(pi q) at df = 1, and the
-    power law once x^2 overflows, where it is exact to double precision.
-    Halley steps on the t density refine the seed inside a bracket, and a
-    step that leaves the bracket is replaced by bisection. The search stops
-    after a step below 1e-6 x, which leaves an error of order 1e-18 x, or
-    when the residual stops shrinking. Against scipy the relative error is
-    below 1e-12 for df in [0.5, 1e6] and p in [1e-12, 1 - 1e-12].
+    upper tail P(T > x), so that a p near 0 or 1 keeps its digits. Closed
+    forms: 1/tan(pi q) at df = 1, and from x = 2^500 on the far-tail power law
+    x = sqrt(df) (q df B(df/2, 1/2))^(-1/df), exact there to double precision.
+    Below that, Halley steps on the t density, with no bracket, refine a seed
+    (Hill's Alg. 396 for df > 1, else the power law) until a step is below
+    1e-6 x, which leaves an error of order 1e-18 x, or the residual is 2^-1074,
+    all that a subnormal q resolves; past _T_QUANTILE_MAX_STEPS steps they raise
+    ArithmeticError. Against scipy the relative error is below 1e-12 for df in
+    [0.5, 1e6] and p in [1e-12, 1 - 1e-12].
     """
     if not 0.0 < df < math.inf:
         raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
@@ -222,46 +223,29 @@ def t_quantile(p: float, df: float) -> float:
     if df == 1.0:
         return sign / math.tan(math.pi * q)
     ln_beta = _ln_beta(0.5 * df, 0.5)
-    # tail(x) = (df/x^2)^(df/2) / (df B) (1 + O(df/x^2)): exact once x^2 overflows
+    # tail(x) = (df/x^2)^(df/2) / (df B) (1 + O(df/x^2)): exact from x = 2^500 on
     ln_q = math.log(q)
     ln_far = 0.5 * math.log(df) - (ln_q + math.log(df) + ln_beta) / df
-    if ln_far > _LN_SQRT_MAX:
+    if ln_far > _LN_FAR_EXACT:
         return sign * (math.exp(ln_far) if ln_far < 2.0 * _LN_SQRT_MAX else math.inf)
     x = _hill_seed(q, df) if df > 1.0 else 0.0
     if x == 0.0:
         x = math.exp(ln_far)
     ln_density_at_0 = -ln_beta - 0.5 * math.log(df)
-    lo, hi = 0.0, math.inf
-    x_prev, r_prev = x, 0.0
     for _ in range(_T_QUANTILE_MAX_STEPS):
         r = _t_tail(x, df, q, ln_beta)
-        if r > 0.0:
-            lo = x
-        elif r < 0.0:
-            hi = x
-        else:
-            break
-        # a step towards the root that stays on its side must shrink the
-        # residual; if it did not, the tail's rounding has been reached
-        if r * r_prev > 0.0 and abs(r) >= abs(r_prev):
-            x = x_prev
-            break
-        x_prev, r_prev = x, r
         # Newton step r / density, formed as (r/q) (q/density) so that it
         # stays finite where the density underflows
         ln_density = ln_density_at_0 - 0.5 * (df + 1.0) * math.log1p(x * x / df)
         s = r / q * math.exp(ln_q - ln_density)
         step = s * (1.0 + s * x * (df + 1.0) / (2.0 * (x * x + df)))
         # Halley converges cubically, so the error left after a step of
-        # relative size h is of order h^3
-        if abs(step) <= 1e-6 * x:
-            x += step
-            break
-        nxt = x + step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
-        x = nxt
-    return sign * x
+        # relative size h is of order h^3; a subnormal tail resolves no
+        # residual below its spacing 2^-1074
+        if abs(step) <= 1e-6 * x or abs(r) <= _SUBNORMAL_SPACING:
+            return sign * (x + step)
+        x += step
+    raise ArithmeticError(f"t quantile failed to converge for p={p}, df={df}")
 
 
 def chisq_sf(x: float, df: float) -> float:

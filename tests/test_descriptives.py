@@ -373,6 +373,35 @@ def test_pearson_corr_matches_centring_by_np_mean(pairs):
     assert dsc.pearson_corr(x.tolist(), tuple(y)) == expected
 
 
+def exact_corr(x, y):
+    """Pearson's r from exact rational sums."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    dx, dy = [v - sum(x) / len(x) for v in x], [v - sum(y) / len(y) for v in y]
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    return math.copysign(math.sqrt(sxy * sxy / (sum(a * a for a in dx) * sum(b * b for b in dy))), sxy)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1e200, 5.0], [1.0, 2.0, 4.0]),  # the squares overflow
+    ([-1e308, 1e308, 0.0], [1.0, 2.0, 4.0]),  # the range overflows
+    ([1e-200, 2e-200, 4e-200], [1.0, 2.0, 3.0]),  # the squares underflow
+    ([1.0, 2.0, 4.0], [3e-170, -1e-170, 2e-170]),
+    ([1e300, 1e300 + 1e285, 1e300 - 1e285, 1e300], [1e-300, 0.0, 5e-301, -1e-300]),
+])
+def test_pearson_corr_outside_the_float_range_needs_no_warning(x, y):
+    # no np.errstate: the suite's filterwarnings = error would raise numpy's overflow warning
+    for a, b in ((x, y), (y, x)):
+        assert dsc.pearson_corr(a, b) == pytest.approx(exact_corr(a, b), rel=1e-14)
+
+
+def test_summarize_replication_of_tiny_outcomes_scales_the_correlation_exactly():
+    # outcomes k 2^-565, about 1e-170 k: divided by a power of two, the bits of r stay
+    control, treatment = [3.0, 1.0, 4.0, 1.0, 5.0], [9.0, 2.0, 6.0, 5.0, 3.0]
+    tiny = within_replication([math.ldexp(v, -565) for v in control],
+                              [math.ldexp(v, -565) for v in treatment])
+    assert dsc.summarize_replication(tiny).corr == dsc.pearson_corr(control, treatment)
+
+
 # ---------------------------------------------------------------------------
 # covariate profiles from exact integer sums; moments of arrays by fsum
 # ---------------------------------------------------------------------------

@@ -95,6 +95,13 @@ def test_both_arms_zero_variance_errors():
         independent_t_test([1.0, 1.0], [2.0, 2.0])
 
 
+def test_independent_t_test_errors_name_the_experiment():
+    with pytest.raises(ValueError, match="^E7: each arm needs at least 2 observations$"):
+        independent_t_test([1.0], [2.0, 3.0], experiment_id="E7")
+    with pytest.raises(ValueError, match="^E7: both arms have zero variance$"):
+        independent_t_test([1.0, 1.0], [2.0, 2.0], experiment_id="E7")
+
+
 @given(st.floats(0.01, 100))
 @settings(max_examples=30)
 def test_scale_invariance(c):

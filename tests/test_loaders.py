@@ -76,6 +76,7 @@ ROW_ERRORS = [
     ("summary", "E1,5,5,1,1,2,1,0.5,within", "duplicate summary row for 'E1'"),
     ("summary", "E2,5,5,1,1,2,1,0.5", "malformed row (expected 9 fields, got 8)"),
     ("summary", "E2,5,5,1,1,2,1,0.5,within,x", "malformed row (expected 9 fields, got 10)"),
+    ("summary", " ,5,5,1,1,2,1,0.5,within", "empty experiment or participant id"),
     ("covariates", "E1,p2,student,3,x,2,1", "malformed java value 'x'"),
     ("covariates", "E1,p2,student,3,2,inf,1", "unit_testing must be finite, got 'inf'"),
     ("covariates", "E1,p2,student,3,2,2,2.5", "junit must be an integer, got '2.5'"),
@@ -89,6 +90,8 @@ ROW_ERRORS = [
      "participant 'p9' of experiment 'E1' is not present in the raw data"),
     ("covariates", "E9,p1,student,3,2,2,1",
      "participant 'p1' of experiment 'E9' is not present in the raw data"),
+    ("covariates", " ,p2,student,3,2,2,1", "empty experiment or participant id"),
+    ("covariates", "E1, ,student,3,2,2,1", "empty experiment or participant id"),
     ("covariates", "E1,p2,student,3,2,2", "malformed row (expected 7 fields, got 6)"),
     ("covariates", "E1,p2,student,3,2,2,1,1", "malformed row (expected 7 fields, got 8)"),
 ]
@@ -204,6 +207,13 @@ def test_duplicate_covariate_rows_are_found_within_each_experiment(tmp_path, dat
     with pytest.raises(rd.DataError, match=re.escape(
             f"{path}:6: duplicate covariate row for ('E2', 'p1')") + "$"):
         rd.load_covariates(path, raw)
+
+
+@pytest.mark.parametrize("row", [" ,p2,student,3,2,2,1", "E1,  ,student,3,2,2,1", ",,student,3,2,2,1"])
+def test_covariates_without_a_dataset_reject_an_empty_id(tmp_path, row):
+    path = write(tmp_path, COV_HEADER + COV_OK + row + "\n")
+    with pytest.raises(rd.DataError, match=f"^{re.escape(f'{path}:3: empty experiment or participant id')}$"):
+        rd.load_covariates(path)
 
 
 def test_loaded_rows_share_the_canonical_value_tuples_and_others_are_checked(tmp_path):

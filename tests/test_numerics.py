@@ -283,6 +283,56 @@ def test_t_quantile_df2_closed_form():
     for p in (1e-300, 1e-100, 1e-12, 0.3, 0.5 + 1e-9, 0.9, 1.0 - 1e-12):
         expected = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
         assert nm.t_quantile(p, 2) == pytest.approx(expected, rel=1e-12)
+    # past x = 2^500 at p = 4.7e-302 and past the overflow of x^2 at p = 2.8e-309
+    for p in (1e-302, 1e-305, 1e-308, 1e-310, 1e-315, 1e-320, 5e-324):
+        expected = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+        assert nm.t_quantile(p, 2) == pytest.approx(expected, rel=1e-12)
+
+
+def mpmath_t_quantile(p, df):
+    """The t quantile to 40 digits: the root in u = ln x of ln tail(e^u) = ln q."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q, n = mpmath.mpf(min(p, 1.0 - p)), mpmath.mpf(df)
+        ln_q = mpmath.log(q)
+        u = mpmath.findroot(lambda u: mpmath.log(mpmath.betainc(
+            n / 2, 0.5, 0, n / (n + mpmath.exp(2 * u)), regularized=True) / 2) - ln_q,
+            0.5 * mpmath.log(n) - (ln_q + mpmath.log(n) + mpmath.log(mpmath.beta(n / 2, 0.5))) / n)
+        return math.copysign(float(mpmath.exp(u)), p - 0.5)
+
+
+@pytest.mark.parametrize("p, df", [
+    (2.62426666965046e-161, 1.038795132038865),
+    (0.9999993922157905, 0.03816924902588277),
+    (0.9902133161933346, 0.010998124479061013),
+    (0.9999998217388657, 0.041596610702411496),
+    (0.9999999999998183, 0.08032089514354612),
+    (6.149078078097532e-190, 1.2246869257291433),
+    (7.458619452844948e-155, 1.01683869133268),
+    (1.5881243397529087e-133, 0.8625691815582514),
+])
+def test_t_quantile_beyond_2_to_the_500_against_mpmath(p, df):
+    # small df, quantiles from 2^500 (3.3e150) up to the float maximum: the power law
+    assert abs(nm.t_quantile(p, df)) >= 2.0 ** 500
+    assert nm.t_quantile(p, df) == pytest.approx(mpmath_t_quantile(p, df), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p, df", [(2.73e-321, 551.9824311243374), (7.24e-321, 715.1020959190894),
+                                   (1.457e-320, 2.2502927923509146), (1.93e-322, 2.1898105509458743)])
+def test_t_quantile_of_a_subnormal_p_stops_at_the_spacing_of_its_tail(p, df):
+    # the tail resolves p only to 2^-1074: Halley steps that alternate between
+    # residuals of +-2^-1074 stop there and do not run out of steps
+    x = nm.t_quantile(p, df)
+    assert abs(nm.t_cdf(x, df) - p) <= math.ulp(0.0)
+
+
+def test_t_quantile_raises_when_halley_runs_out_of_steps(monkeypatch):
+    monkeypatch.setattr(nm, "_T_QUANTILE_MAX_STEPS", 0)
+    with pytest.raises(ArithmeticError, match=r"^t quantile failed to converge for p=0\.975, df=5\.0$"):
+        nm.t_quantile(0.975, 5.0)
+    # the closed forms take no step
+    assert nm.t_quantile(0.975, 1.0) == pytest.approx(12.706204736174707, rel=1e-14)
+    assert nm.t_quantile(1e-320, 2.0) == pytest.approx(-1.0 / math.sqrt(2e-320), rel=1e-12)
 
 
 def test_t_cdf_keeps_digits_near_zero():
