@@ -5,9 +5,9 @@ statistics and participant covariates have their own documented schemas.
 A Replication is laid out once, by ``__post_init__`` from its observations,
 however it was built: by hand, by the loader, or by ``copy``, ``deepcopy`` or
 ``pickle``. Arms, pairs and lookups read that layout, as descriptives read a
-CovariateTable's columns, grouped on construction. Per-row records are
-frozen, slotted dataclasses with a validating, hand-written ``__init__`` that the
-loader skips for the cells it validated. All structures are immutable.
+CovariateTable's columns, grouped on construction. Per-row records are frozen,
+slotted dataclasses, filled as drafts, whose plain stores CPython specializes, and
+retyped by ``__class__`` assignment once checked. All structures are immutable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
@@ -78,11 +78,12 @@ class Observation:
         if outcome is not None and not math.isfinite(outcome):
             raise DataError(f"outcome must be finite, got {outcome!r} "
                             f"({experiment_id}/{participant_id})")
-        set_id, set_participant, set_treatment, set_outcome = _OBSERVATION_STORES
-        set_id(self, experiment_id)
-        set_participant(self, participant_id)
-        set_treatment(self, treatment)
-        set_outcome(self, outcome)
+        object.__setattr__(self, "__class__", _ObservationDraft)
+        self.experiment_id = experiment_id
+        self.participant_id = participant_id
+        self.treatment = treatment
+        self.outcome = outcome
+        self.__class__ = Observation
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,8 @@ class SummaryRow:
     undefined; no repeated-measures d can then be computed from the row.
     A between-subjects row never carries corr.
 
-    ``__init__`` is hand-written: it validates, then stores each field through
-    its slot's ``__set__``, in about 60 % of the generated frozen one's time."""
+    ``__init__`` checks the fields, then fills ``self`` as a draft, whose plain stores
+    CPython specializes, and retypes it; ``load_summary_dataset`` passes a new draft."""
 
     experiment_id: str
     n_control: int
@@ -194,7 +195,7 @@ class SummaryRow:
                  median_control: float | None = None, median_treatment: float | None = None):
         if design not in DESIGNS:
             raise DataError(f"unknown design {design!r} for {experiment_id}")
-        if n_control < 2 or n_treatment < 2:
+        if not (n_control >= 2 and n_treatment >= 2):  # NaN-safe
             raise DataError(f"{experiment_id}: each arm needs n >= 2")
         if sd_control < 0 or sd_treatment < 0:
             raise DataError(f"{experiment_id}: standard deviations must be >= 0")
@@ -205,19 +206,20 @@ class SummaryRow:
             raise DataError(f"{experiment_id}: between-subjects rows must not carry corr")
         if corr is not None and not -1.0 <= corr <= 1.0:
             raise DataError(f"{experiment_id}: corr {corr} outside [-1, 1]")
-        (set_id, set_n_c, set_n_t, set_mean_c, set_sd_c, set_mean_t, set_sd_t, set_corr,
-         set_design, set_median_c, set_median_t) = _SUMMARY_STORES
-        set_id(self, experiment_id)
-        set_n_c(self, n_control)
-        set_n_t(self, n_treatment)
-        set_mean_c(self, mean_control)
-        set_sd_c(self, sd_control)
-        set_mean_t(self, mean_treatment)
-        set_sd_t(self, sd_treatment)
-        set_corr(self, corr)
-        set_design(self, design)
-        set_median_c(self, median_control)
-        set_median_t(self, median_treatment)
+        if type(self) is not _SummaryRowDraft:  # a new SummaryRow, not a loader's draft
+            object.__setattr__(self, "__class__", _SummaryRowDraft)
+        self.experiment_id = experiment_id
+        self.n_control = n_control
+        self.n_treatment = n_treatment
+        self.mean_control = mean_control
+        self.sd_control = sd_control
+        self.mean_treatment = mean_treatment
+        self.sd_treatment = sd_treatment
+        self.corr = corr
+        self.design = design
+        self.median_control = median_control
+        self.median_treatment = median_treatment
+        self.__class__ = SummaryRow
 
 
 @dataclass(frozen=True)
@@ -255,15 +257,20 @@ class CovariateRow:
             if type(v) is not int or not 1 <= v <= 4:
                 raise DataError(f"{name} must be an integer in 1..4, got {v!r} "
                                 f"({experiment_id}/{participant_id})")
-        set_id, set_participant, set_subject_type, set_values = _COVARIATE_STORES
-        set_id(self, experiment_id)
-        set_participant(self, participant_id)
-        set_subject_type(self, subject_type)
-        set_values(self, values)
+        object.__setattr__(self, "__class__", _CovariateRowDraft)
+        self.experiment_id = experiment_id
+        self.participant_id = participant_id
+        self.subject_type = subject_type
+        self.values = values
+        self.__class__ = CovariateRow
 
 
-_OBSERVATION_STORES, _SUMMARY_STORES, _COVARIATE_STORES = (  # each field's slot __set__
-    tuple(vars(c)[f.name].__set__ for f in fields(c)) for c in (Observation, SummaryRow, CovariateRow))
+# Each record is built as a draft, a plain class with its slots: CPython specializes plain
+# stores to a draft's slots but not the frozen record's, and the equal slot layouts let a
+# filled, checked draft become its record by __class__ assignment.
+_ObservationDraft, _SummaryRowDraft, _CovariateRowDraft = (
+    type(f"_{cls.__name__}Draft", (), {"__slots__": cls.__slots__})
+    for cls in (Observation, SummaryRow, CovariateRow))
 
 
 @dataclass(frozen=True)
@@ -352,7 +359,6 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
     options = options or ParseOptions()
     path = Path(path)
     label_map = {options.control_label: CONTROL, options.treatment_label: TREATMENT}
-    new, (set_id, set_participant, set_treatment, set_outcome) = object.__new__, _OBSERVATION_STORES
     by_experiment = defaultdict(list)
     reader = next(lines := _read_rows(path, RAW_COLUMNS))
     for exp, pid, label, cell in lines:
@@ -371,11 +377,12 @@ def load_raw_dataset(path: str | Path, options: ParseOptions | None = None) -> R
                 raise ValueError("non-finite outcome")
         except ValueError as err:
             raise _row_error(f"{path}:{reader.line_num}", [("outcome", cell)], err) from None
-        by_experiment[exp].append(obs := new(Observation))  # its cells are validated above
-        set_id(obs, exp)
-        set_participant(obs, pid)
-        set_treatment(obs, arm)
-        set_outcome(obs, outcome)
+        by_experiment[exp].append(obs := _ObservationDraft())  # checked above: fill and retype
+        obs.experiment_id = exp
+        obs.participant_id = pid
+        obs.treatment = arm
+        obs.outcome = outcome
+        obs.__class__ = Observation
     if not by_experiment:
         raise DataError(f"{path}: no data rows")
     # these checks span rows, so only the file can be named
@@ -417,8 +424,9 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
         seen.add(exp)
         try:  # SummaryRow rejects non-finite moments and corr; int() a non-finite count
             n_c, n_t = float(n_c), float(n_t)
-            row = SummaryRow(exp, int(n_c), int(n_t), float(m_c), float(s_c), float(m_t),
-                             float(s_t), float(corr) if corr.strip() else None, design.strip())
+            SummaryRow.__init__(row := _SummaryRowDraft(), exp, int(n_c), int(n_t), float(m_c),
+                                float(s_c), float(m_t), float(s_t),
+                                float(corr) if corr.strip() else None, design.strip())
             if row.n_control != n_c or row.n_treatment != n_t:
                 raise ValueError("fractional count")
         except (ValueError, OverflowError) as err:
@@ -454,7 +462,6 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
     # participant ids per experiment: no tuple per participant for the collector to walk
     known = None if dataset is None else {r.experiment_id: set(r.participants)
                                           for r in dataset.replications}
-    new, (set_id, set_participant, set_subject_type, set_values) = object.__new__, _COVARIATE_STORES
     rows: list[CovariateRow] = []
     seen = defaultdict(dict)  # participant ids per experiment: a dict is a quarter of a set's size
     reader = next(lines := _read_rows(path, COVARIATE_COLUMNS))
@@ -477,11 +484,12 @@ def load_covariates(path: str | Path, dataset: ReplicationSet | None = None) -> 
                 continue
         except (ValueError, OverflowError) as err:
             raise _row_error(f"{path}:{reader.line_num}", zip(ORDINAL_COVARIATES, cells), err) from None
-        rows.append(row := new(CovariateRow))  # its cells are validated above
-        set_id(row, exp)
-        set_participant(row, pid)
-        set_subject_type(row, subject_type)
-        set_values(row, ints)
+        rows.append(row := _CovariateRowDraft())  # a _VALID_ROWS row: fill and retype
+        row.experiment_id = exp
+        row.participant_id = pid
+        row.subject_type = subject_type
+        row.values = ints
+        row.__class__ = CovariateRow
     if not rows:
         raise DataError(f"{path}: no data rows")
     return CovariateTable(tuple(rows))

@@ -7,7 +7,7 @@ favor the treatment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .data import SummaryRow
 
@@ -18,8 +18,8 @@ __all__ = ["EffectSize", "between_subjects_d", "hedges_correction", "repeated_me
 class EffectSize:
     """One study's standardized mean difference and its sampling variance.
 
-    ``__init__`` is hand-written: it validates, then stores each field through
-    its slot's ``__set__``, in about 60 % of the generated frozen one's time."""
+    ``__init__`` checks the fields, then fills ``self`` as a draft, whose plain stores
+    CPython specializes, and retypes it; the functions below pass a new draft."""
 
     experiment_id: str
     d: float
@@ -36,21 +36,23 @@ class EffectSize:
                 and (moderator_x is None or math.isfinite(moderator_x))):
             raise ValueError(f"{experiment_id}: d, variance and moderator must be finite, "
                              f"got {d!r}, {variance!r} and {moderator_x!r}")
-        if variance <= 0.0:
+        if not variance > 0.0:
             raise ValueError(f"{experiment_id}: effect-size variance must be positive")
-        if n_effective < 2:
+        if not n_effective >= 2:  # NaN-safe
             raise ValueError(f"{experiment_id}: effective n must be >= 2")
-        set_id, set_d, set_variance, set_n, set_corrected, set_label, set_x = _EFFECT_STORES
-        set_id(self, experiment_id)
-        set_d(self, d)
-        set_variance(self, variance)
-        set_n(self, n_effective)
-        set_corrected(self, corrected)
-        set_label(self, subgroup_label)
-        set_x(self, moderator_x)
+        if type(self) is not _EffectSizeDraft:  # a new EffectSize, not a builder's draft
+            object.__setattr__(self, "__class__", _EffectSizeDraft)
+        self.experiment_id = experiment_id
+        self.d = d
+        self.variance = variance
+        self.n_effective = n_effective
+        self.corrected = corrected
+        self.subgroup_label = subgroup_label
+        self.moderator_x = moderator_x
+        self.__class__ = EffectSize
 
 
-_EFFECT_STORES = tuple(vars(EffectSize)[f.name].__set__ for f in fields(EffectSize))  # slot stores
+_EffectSizeDraft = type("_EffectSizeDraft", (), {"__slots__": EffectSize.__slots__})  # as data's drafts
 
 
 def repeated_measures_d(row: SummaryRow, n_pairs: int | None = None) -> EffectSize:
@@ -76,7 +78,7 @@ def repeated_measures_d(row: SummaryRow, n_pairs: int | None = None) -> EffectSi
     if abs(r) >= 1.0:
         raise ValueError(f"{row.experiment_id}: |corr| must be < 1, got {r}")
     n = min(row.n_control, row.n_treatment) if n_pairs is None else n_pairs
-    if n < 2:
+    if not n >= 2:  # NaN-safe
         raise ValueError(f"{row.experiment_id}: need at least 2 complete pairs")
     s_diff_sq = row.sd_control ** 2 + row.sd_treatment ** 2 - 2.0 * r * row.sd_control * row.sd_treatment
     if s_diff_sq <= 0.0:
@@ -84,7 +86,8 @@ def repeated_measures_d(row: SummaryRow, n_pairs: int | None = None) -> EffectSi
     s_within = math.sqrt(s_diff_sq) / math.sqrt(2.0 * (1.0 - r))
     d = (row.mean_treatment - row.mean_control) / s_within
     variance = (1.0 / n + d * d / (2.0 * n)) * 2.0 * (1.0 - r)
-    return EffectSize(row.experiment_id, d, variance, n)
+    EffectSize.__init__(effect := _EffectSizeDraft(), row.experiment_id, d, variance, n)
+    return effect
 
 
 def between_subjects_d(row: SummaryRow) -> EffectSize:
@@ -99,7 +102,8 @@ def between_subjects_d(row: SummaryRow) -> EffectSize:
         raise ValueError(f"{row.experiment_id}: pooled standard deviation is zero")
     d = (row.mean_treatment - row.mean_control) / math.sqrt(pooled_var)
     variance = (n_c + n_t) / (n_c * n_t) + d * d / (2.0 * (n_c + n_t))
-    return EffectSize(row.experiment_id, d, variance, n_c + n_t)
+    EffectSize.__init__(effect := _EffectSizeDraft(), row.experiment_id, d, variance, n_c + n_t)
+    return effect
 
 
 def hedges_correction(effect: EffectSize, df: float) -> EffectSize:
@@ -108,8 +112,10 @@ def hedges_correction(effect: EffectSize, df: float) -> EffectSize:
     Refuses to correct twice."""
     if effect.corrected:
         raise ValueError(f"{effect.experiment_id}: effect size already corrected")
-    if df <= 1.0:
+    if not df > 1.0:  # NaN-safe
         raise ValueError(f"degrees of freedom must exceed 1, got {df}")
     j = 1.0 - 3.0 / (4.0 * df - 1.0)
-    return EffectSize(effect.experiment_id, effect.d * j, effect.variance * j * j,
-                      effect.n_effective, True, effect.subgroup_label, effect.moderator_x)
+    EffectSize.__init__(corrected := _EffectSizeDraft(), effect.experiment_id, effect.d * j,
+                        effect.variance * j * j, effect.n_effective, True,
+                        effect.subgroup_label, effect.moderator_x)
+    return corrected

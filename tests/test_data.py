@@ -448,6 +448,12 @@ def test_summary_row_rejects_non_finite_moments(field, value):
         dataclasses.replace(ROW, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["n_control", "n_treatment"])
+def test_summary_row_rejects_a_nan_count(field):
+    with pytest.raises(rd.DataError, match="^E1: each arm needs n >= 2$"):
+        dataclasses.replace(ROW, **{field: math.nan})
+
+
 # ---------------------------------------------------------------------------
 # headers in any column order
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ def test_explicit_pair_count_override():
     assert e.variance > repeated_measures_d(ROW_UPV, n_pairs=29).variance
 
 
+@pytest.mark.parametrize("n_pairs", [1, 0, -3, math.nan])
+def test_explicit_pair_count_below_two_is_rejected(n_pairs):
+    with pytest.raises(ValueError, match="^UPV: need at least 2 complete pairs$"):
+        repeated_measures_d(ROW_UPV, n_pairs=n_pairs)
+
+
 def test_between_subjects_equal_arms():
     row = SummaryRow("E1", 8, 12, 30.0, 10.0, 30.0, 10.0, None, "between")
     e = between_subjects_d(row)
@@ -101,6 +107,8 @@ def test_hedges_rejects_double_application():
 def test_hedges_rejects_tiny_df():
     with pytest.raises(ValueError, match="exceed 1"):
         hedges_correction(repeated_measures_d(ROW_O), df=1.0)
+    with pytest.raises(ValueError, match="^degrees of freedom must exceed 1, got nan$"):
+        hedges_correction(repeated_measures_d(ROW_O), df=math.nan)
 
 
 @given(st.floats(0.05, 20), st.floats(-100, 100))
@@ -200,6 +208,8 @@ def test_effect_size_still_rejects_bad_variance_and_n():
         EffectSize("E1", 0.3, 0.0, 10)
     with pytest.raises(ValueError, match="E1: effective n must be >= 2"):
         EffectSize("E1", 0.3, 0.1, 1)
+    with pytest.raises(ValueError, match="E1: effective n must be >= 2"):
+        EffectSize("E1", 0.3, 0.1, math.nan)
 
 
 def test_hedges_correction_keeps_the_other_fields():
