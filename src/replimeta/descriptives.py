@@ -54,21 +54,10 @@ def sample_variance(values) -> float:
     """Sample variance (n-1 denominator) by np.var(ddof=1)'s reductions; 0.0 if all
     equal. NaN or inf among the values, or a variance past the float maximum, gives a
     non-finite result without a numpy warning, so that callers can reject the sample."""
-    x = np.asarray(values, dtype=np.float64)
-    spread = float(np.maximum.reduce(x)) - float(np.minimum.reduce(x))  # Python floats do not warn
-    if spread == 0.0:
-        return 0.0
-    if not math.isfinite(spread):
-        return spread
-    # n spread^2 bounds the sum of squares, and values whose sum can overflow differ by more
-    # than sqrt(max / n): past that, divide by the power of two at or below the range, which
-    # keeps the bits and leaves a range below 2; 2^1024 itself would overflow
-    scale = 1.0
-    if spread > math.sqrt(sys.float_info.max / x.size):
-        scale = math.ldexp(1.0, math.frexp(spread)[1] - 1)
-        x = x / scale
-    d = x - np.add.reduce(x) / x.size
-    return float(np.add.reduce(np.multiply(d, d, out=d)) / (x.size - 1)) * scale * scale
+    d, scale = _centred(np.asarray(values, dtype=np.float64))
+    if d is None:
+        return scale
+    return float(np.add.reduce(np.multiply(d, d, out=d)) / (d.size - 1)) * scale * scale
 
 
 def _median(values: np.ndarray) -> float:
@@ -77,24 +66,31 @@ def _median(values: np.ndarray) -> float:
     return float(s[h]) if values.size % 2 else float((s[h - 1] + s[h]) / 2.0)
 
 
-def _centred(x: np.ndarray) -> np.ndarray | None:
-    """x minus its mean; None for a constant x. Where the range overflows, the sum of squared
-    deviations could overflow, or the squared range, below 2^-970, nears the subnormals, x is
-    first divided by the power of two at or below its largest magnitude: r is scale-free."""
+def _centred(x: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """x divided by scale minus its mean, and scale: 1.0, or where the range overflows,
+    the sum of squared deviations could overflow, or the squared range, below 2^-970,
+    nears the subnormals, the power of two at or below x's largest magnitude, so that
+    the division keeps every bit. None and x's variance for a constant x (0.0) or a
+    non-finite one (NaN, or inf if no value is NaN), decided from x's extremes."""
     top, bottom = float(np.maximum.reduce(x)), float(np.minimum.reduce(x))  # Python floats do not warn
-    spread = top - bottom
-    if spread == 0.0:
-        return None
-    if not 2.0 ** -485 < spread < math.sqrt(sys.float_info.max / x.size):
-        x = x / math.ldexp(1.0, math.frexp(max(top, -bottom))[1] - 1)
-    return x - np.add.reduce(x) / x.size
+    if top == bottom or not (math.isfinite(top) and math.isfinite(bottom)):
+        return None, top - bottom
+    scale = 1.0
+    if not 2.0 ** -485 < top - bottom < math.sqrt(sys.float_info.max / x.size):
+        scale = math.ldexp(1.0, math.frexp(max(top, -bottom))[1] - 1)
+        x = x / scale
+    return x - np.add.reduce(x) / x.size, scale
 
 
 def pearson_corr(x, y) -> float | None:
-    """Pearson correlation; None for fewer than 2 points or a constant input."""
+    """Pearson correlation; None for fewer than 2 points or a constant input, NaN for a
+    non-finite one."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2 or (dx := _centred(x)) is None or (dy := _centred(y)) is None:
+    if x.shape != y.shape or x.size < 2:
         return None
+    (dx, sx), (dy, sy) = _centred(x), _centred(y)
+    if dx is None or dy is None:  # a constant (variance 0.0) or non-finite input; scales are finite
+        return None if math.isfinite(sx) and math.isfinite(sy) else math.nan
     r = float(dx @ dy) / math.sqrt(dx @ dx) / math.sqrt(dy @ dy)
     return max(-1.0, min(1.0, r))
 

@@ -38,7 +38,7 @@ class EffectSize:
                              f"got {d!r}, {variance!r} and {moderator_x!r}")
         if not variance > 0.0:
             raise ValueError(f"{experiment_id}: effect-size variance must be positive")
-        if not n_effective >= 2:  # NaN-safe
+        if not (n_effective >= 2 and n_effective % 1 == 0):  # NaN-safe
             raise ValueError(f"{experiment_id}: effective n must be >= 2")
         if type(self) is not _EffectSizeDraft:  # a new EffectSize, not a builder's draft
             object.__setattr__(self, "__class__", _EffectSizeDraft)
@@ -78,7 +78,7 @@ def repeated_measures_d(row: SummaryRow, n_pairs: int | None = None) -> EffectSi
     if abs(r) >= 1.0:
         raise ValueError(f"{row.experiment_id}: |corr| must be < 1, got {r}")
     n = min(row.n_control, row.n_treatment) if n_pairs is None else n_pairs
-    if not n >= 2:  # NaN-safe
+    if not (n >= 2 and n % 1 == 0):  # NaN-safe
         raise ValueError(f"{row.experiment_id}: need at least 2 complete pairs")
     s_diff_sq = row.sd_control ** 2 + row.sd_treatment ** 2 - 2.0 * r * row.sd_control * row.sd_treatment
     if s_diff_sq <= 0.0:

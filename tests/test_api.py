@@ -73,8 +73,10 @@ RECORDS = {
 
 
 def test_hand_written_inits_exist():
+    # only the records an analysis builds by the thousand fill self as a draft; Observation
+    # and CovariateRow use the generated __init__ and check in __post_init__
     names = {cls.__name__ for cls in _hand_initialised_dataclasses()}
-    assert set(RECORDS) <= names
+    assert names == {"SummaryRow", "EffectSize"}
 
 
 @pytest.mark.parametrize("name", RECORDS)

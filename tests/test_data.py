@@ -53,6 +53,19 @@ def test_building_observations_allocates_no_instance_dict():
     assert used < 96 * n
 
 
+@pytest.mark.parametrize("arguments, message", [
+    (("E1", "p1", "banana", 1.5), r"unknown treatment level 'banana'"),
+    (("E1", "p1", rd.CONTROL, math.inf), r"outcome must be finite, got inf \(E1/p1\)"),
+    (("E1", "p2", rd.TREATMENT, math.nan), r"outcome must be finite, got nan \(E1/p2\)"),
+])
+def test_observation_rejects_an_unknown_arm_and_a_non_finite_outcome(arguments, message):
+    with pytest.raises(rd.DataError, match=f"^{message}$"):
+        rd.Observation(*arguments)
+    with pytest.raises(rd.DataError, match=f"^{message}$"):  # replace runs the same checks
+        dataclasses.replace(rd.Observation("E1", arguments[1], rd.CONTROL, 1.5),
+                            treatment=arguments[2], outcome=arguments[3])
+
+
 def test_load_single_participant_both_arms_rejected(tmp_path):
     # one participant with two observations is still < 2 informative participants
     text = "experiment_id,participant_id,treatment,outcome\nE1,p1,control,1\nE1,p1,treatment,2\n"
@@ -450,8 +463,9 @@ def test_summary_row_rejects_non_finite_moments(field, value):
 
 @pytest.mark.parametrize("field", ["n_control", "n_treatment"])
 def test_summary_row_rejects_a_nan_count(field):
-    with pytest.raises(rd.DataError, match="^E1: each arm needs n >= 2$"):
-        dataclasses.replace(ROW, **{field: math.nan})
+    for value in (math.nan, math.inf, 2.5):
+        with pytest.raises(rd.DataError, match="^E1: each arm needs n >= 2$"):
+            dataclasses.replace(ROW, **{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -387,11 +387,30 @@ def exact_corr(x, y):
     ([1e-200, 2e-200, 4e-200], [1.0, 2.0, 3.0]),  # the squares underflow
     ([1.0, 2.0, 4.0], [3e-170, -1e-170, 2e-170]),
     ([1e300, 1e300 + 1e285, 1e300 - 1e285, 1e300], [1e-300, 0.0, 5e-301, -1e-300]),
+    ([1e308, 1.5e308, 1.25e308], [1.0, 4.0, 2.0]),  # the sum overflows
 ])
 def test_pearson_corr_outside_the_float_range_needs_no_warning(x, y):
     # no np.errstate: the suite's filterwarnings = error would raise numpy's overflow warning
     for a, b in ((x, y), (y, x)):
         assert dsc.pearson_corr(a, b) == pytest.approx(exact_corr(a, b), rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [[1.0, math.nan, 2.0], [1.0, math.inf, 2.0], [-math.inf, 1.0, 2.0],
+                               [math.inf, math.inf, math.inf], [math.nan, math.nan, math.nan]])
+def test_pearson_corr_of_a_non_finite_input_is_nan_without_a_warning(x):
+    # a NaN r must not reach min(1.0, r), which returns 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((x, [1.0, 2.0, 4.0]), ([1.0, 2.0, 4.0], x), (x, [5.0, 5.0, 5.0])):
+            assert math.isnan(dsc.pearson_corr(a, b))
+            assert math.isnan(dsc.pearson_corr(np.array(a), b))
+
+
+def test_sample_variance_of_tiny_values_scales_exactly():
+    # k 2^-530: the squared deviations are subnormal unless the sample is first scaled
+    values = [0.3, 0.1, 0.4, 0.1, 0.5, 0.9, 0.2, 0.6]
+    tiny = [math.ldexp(v, -530) for v in values]
+    assert dsc.sample_variance(tiny) == math.ldexp(dsc.sample_variance(values), -1060) > 0.0
 
 
 def test_summarize_replication_of_tiny_outcomes_scales_the_correlation_exactly():

@@ -55,7 +55,7 @@ def test_explicit_pair_count_override():
     assert e.variance > repeated_measures_d(ROW_UPV, n_pairs=29).variance
 
 
-@pytest.mark.parametrize("n_pairs", [1, 0, -3, math.nan])
+@pytest.mark.parametrize("n_pairs", [1, 0, -3, math.nan, math.inf, 2.5])
 def test_explicit_pair_count_below_two_is_rejected(n_pairs):
     with pytest.raises(ValueError, match="^UPV: need at least 2 complete pairs$"):
         repeated_measures_d(ROW_UPV, n_pairs=n_pairs)
@@ -210,6 +210,10 @@ def test_effect_size_still_rejects_bad_variance_and_n():
         EffectSize("E1", 0.3, 0.1, 1)
     with pytest.raises(ValueError, match="E1: effective n must be >= 2"):
         EffectSize("E1", 0.3, 0.1, math.nan)
+    with pytest.raises(ValueError, match="E1: effective n must be >= 2"):
+        EffectSize("E1", 0.3, 0.1, math.inf)
+    with pytest.raises(ValueError, match="E1: effective n must be >= 2"):
+        EffectSize("E1", 0.3, 0.1, 2.5)
 
 
 def test_hedges_correction_keeps_the_other_fields():
