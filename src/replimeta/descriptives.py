@@ -35,6 +35,7 @@ __all__ = [
     "profile_series_outcomes",
     "sample_mean",
     "sample_variance",
+    "scaled_variance",
     "summarize_covariates",
     "summarize_replication",
 ]
@@ -54,10 +55,28 @@ def sample_variance(values) -> float:
     """Sample variance (n-1 denominator) by np.var(ddof=1)'s reductions; 0.0 if all
     equal. NaN or inf among the values, or a variance past the float maximum, gives a
     non-finite result without a numpy warning, so that callers can reject the sample."""
-    d, scale = _centred(np.asarray(values, dtype=np.float64))
+    v, scale = scaled_variance(values)
+    return v * scale * scale
+
+
+def scaled_variance(values) -> tuple[float, float]:
+    """The sample variance v of values / scale, and scale, the power of two that
+    _centred picks (1.0 unless the range or the squares near the ends of the float
+    range): the variance is v scale^2 and the sd sqrt(v) scale, which keeps its
+    digits where v scale^2 underflows. A sample that is not 1-D raises ValueError."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"a sample must be 1-D, got shape {x.shape}")
+    d, scale = _centred(x)
     if d is None:
-        return scale
-    return float(np.add.reduce(np.multiply(d, d, out=d)) / (d.size - 1)) * scale * scale
+        return scale, 1.0
+    return float(np.add.reduce(np.multiply(d, d, out=d)) / (d.size - 1)), scale
+
+
+def _sample_sd(values) -> float:
+    """Sample standard deviation, sqrt(v) scale from scaled_variance."""
+    v, scale = scaled_variance(values)
+    return math.sqrt(v) * scale
 
 
 def _median(values: np.ndarray) -> float:
@@ -84,9 +103,12 @@ def _centred(x: np.ndarray) -> tuple[np.ndarray | None, float]:
 
 def pearson_corr(x, y) -> float | None:
     """Pearson correlation; None for fewer than 2 points or a constant input, NaN for a
-    non-finite one."""
+    non-finite one. Inputs that are not 1-D of one length raise ValueError."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2:
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"pearson_corr needs two 1-D inputs of equal length, "
+                         f"got shapes {x.shape} and {y.shape}")
+    if x.size < 2:
         return None
     (dx, sx), (dy, sy) = _centred(x), _centred(y)
     if dx is None or dy is None:  # a constant (variance 0.0) or non-finite input; scales are finite
@@ -125,8 +147,8 @@ def summarize_replication(replication: Replication) -> SummaryRow:
                           f"({reason}); reported as missing", AnalysisWarning)
     # by position: matching eleven keywords doubles the cost of the constructor call
     return SummaryRow(replication.experiment_id, control.size, treatment.size,
-                      sample_mean(control), math.sqrt(sample_variance(control)),
-                      sample_mean(treatment), math.sqrt(sample_variance(treatment)),
+                      sample_mean(control), _sample_sd(control),
+                      sample_mean(treatment), _sample_sd(treatment),
                       corr, replication.design, _median(control), _median(treatment))
 
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .data import PairedSample
-from .descriptives import sample_mean, sample_variance
+from .descriptives import sample_mean, scaled_variance
 from .numerics import t_quantile, t_sf
 
 __all__ = ["TestResult", "independent_t_test", "paired_t_test", "TWO_SIDED", "ONE_SIDED_GREATER"]
@@ -58,13 +58,13 @@ def paired_t_test(sample: PairedSample, sidedness: str = TWO_SIDED,
     is the central 1-alpha interval regardless of sidedness.
     """
     diffs = sample.differences
-    var = sample_variance(diffs)
-    if not math.isfinite(var):  # NaN or inf among the values, or a variance past the float range
+    var, scale = scaled_variance(diffs)  # the variance is var scale^2, the sd sqrt(var) scale
+    if not math.isfinite(var * scale * scale):  # NaN or inf among the values, or past float range
         raise ValueError(f"{sample.experiment_id}: differences and their variance must be finite")
     if var == 0.0:
         raise ValueError(f"{sample.experiment_id}: differences have zero variance")
     n = len(diffs)
-    return _result(sample.experiment_id, sample_mean(diffs), math.sqrt(var / n), n - 1,
+    return _result(sample.experiment_id, sample_mean(diffs), math.sqrt(var / n) * scale, n - 1,
                    sidedness, alpha, n)
 
 
@@ -79,18 +79,21 @@ def independent_t_test(control: list[float], treatment: list[float],
     n_c, n_t = len(control), len(treatment)
     if n_c < 2 or n_t < 2:
         raise ValueError(f"{experiment_id}: each arm needs at least 2 observations")
-    var_c, var_t = sample_variance(control), sample_variance(treatment)
-    if not math.isfinite(var_c + var_t):  # as in paired_t_test
+    (var_c, scale_c), (var_t, scale_t) = scaled_variance(control), scaled_variance(treatment)
+    if not math.isfinite(var_c * scale_c * scale_c + var_t * scale_t * scale_t):  # as paired_t_test
         raise ValueError(f"{experiment_id}: sample values and their variances must be finite")
+    # both arms on the larger scale, a power of two: at 1.0 every bit stays as it was
+    scale = max(scale_c, scale_t)
+    var_c, var_t = var_c * (scale_c / scale) ** 2, var_t * (scale_t / scale) ** 2
     if var_c == 0.0 and var_t == 0.0:
         raise ValueError(f"{experiment_id}: both arms have zero variance")
     estimate = sample_mean(treatment) - sample_mean(control)
     if welch:
         a, b = var_c / n_c, var_t / n_t
-        se = math.sqrt(a + b)
+        se = math.sqrt(a + b) * scale
         df = (a + b) ** 2 / (a * a / (n_c - 1) + b * b / (n_t - 1))
     else:
         pooled = ((n_c - 1) * var_c + (n_t - 1) * var_t) / (n_c + n_t - 2)
-        se = math.sqrt(pooled * (1.0 / n_c + 1.0 / n_t))
+        se = math.sqrt(pooled * (1.0 / n_c + 1.0 / n_t)) * scale
         df = n_c + n_t - 2
     return _result(experiment_id, estimate, se, df, sidedness, alpha, n_c + n_t)

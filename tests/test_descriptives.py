@@ -508,3 +508,57 @@ def test_sample_variance_of_huge_values_needs_no_warning(values, variance):
     # no np.errstate: the suite's filterwarnings = error would raise numpy's overflow warning
     for kind in (list, tuple, np.array):
         assert dsc.sample_variance(kind(values)) == pytest.approx(variance, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# sds of samples whose variance is below the float range; shapes at the boundary
+# ---------------------------------------------------------------------------
+
+def exact_sd(values):
+    """The sample sd from exact rational sums, scaled by 2^600 so that its square root
+    is taken on a normal double."""
+    x = [Fraction(v) for v in values]
+    mean = sum(x) / len(x)
+    var = sum((v - mean) ** 2 for v in x) / (len(x) - 1)
+    return math.sqrt(float(var * 2 ** 1200)) * 2.0 ** -600
+
+
+def test_summarize_replication_of_outcomes_near_1e_170_keeps_the_sds():
+    # the variances, about 1e-340, lie below the float range; the sds do not
+    control, treatment = [3.0, 1.0, 4.0, 1.0, 5.0], [9.0, 2.0, 6.0, 5.0, 3.0]
+    tiny_c, tiny_t = [k * 1e-170 for k in control], [k * 1e-170 for k in treatment]
+    s = dsc.summarize_replication(within_replication(tiny_c, tiny_t))
+    for sd, values, near in ((s.sd_control, tiny_c, 1.79e-170), (s.sd_treatment, tiny_t, 2.74e-170)):
+        assert abs(sd - exact_sd(values)) <= math.ulp(sd)
+        assert sd == pytest.approx(near, rel=1e-2)
+    # scaled by 2^565 into the middle of the range, the sds are the same bits scaled back
+    big = dsc.summarize_replication(within_replication([math.ldexp(v, 565) for v in tiny_c],
+                                                       [math.ldexp(v, 565) for v in tiny_t]))
+    assert (s.sd_control, s.sd_treatment) == (math.ldexp(big.sd_control, -565),
+                                              math.ldexp(big.sd_treatment, -565))
+
+
+def test_scaled_variance_is_the_variance_at_scale_one():
+    rng = np.random.default_rng(20)
+    for n in (2, 5, 20, 129):
+        x = rng.normal(3.0, 2.0, n)
+        v, scale = dsc.scaled_variance(x)
+        assert scale == 1.0 and v == dsc.sample_variance(x) == float(np.var(x, ddof=1))
+
+
+@pytest.mark.parametrize("x, y", [([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0, 2.0], [1.0, 2.0, 3.0]),
+                                  ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]]),
+                                  ([[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0]), (2.0, 3.0)])
+def test_pearson_corr_rejects_inputs_that_are_not_1d_of_one_length(x, y):
+    with pytest.raises(ValueError) as raised:
+        dsc.pearson_corr(x, y)
+    assert str(raised.value) == (f"pearson_corr needs two 1-D inputs of equal length, "
+                                 f"got shapes {np.shape(x)} and {np.shape(y)}")
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0, 5.0]], np.ones((3, 1)), 4.0])
+def test_sample_variance_rejects_a_sample_that_is_not_1d(values):
+    for f in (dsc.sample_variance, dsc.scaled_variance):
+        with pytest.raises(ValueError) as raised:
+            f(values)
+        assert str(raised.value) == f"a sample must be 1-D, got shape {np.shape(values)}"

@@ -166,3 +166,42 @@ def test_t_tests_reject_a_variance_past_the_float_range_naming_the_experiment(ba
         paired_t_test(PairedSample("E1", bad))
     with pytest.raises(ValueError, match="^E2: sample values and their variances must be finite$"):
         independent_t_test([1.0, 2.0], list(bad), experiment_id="E2")
+
+
+# ---------------------------------------------------------------------------
+# samples whose variance is below the float range
+# ---------------------------------------------------------------------------
+
+def test_t_tests_of_outcomes_near_1e_170_equal_those_of_the_sample_scaled_by_2_565():
+    # the variances, about 1e-340, underflow; t, df and p do not depend on the scale
+    control = [k * 1e-170 for k in (3.0, 1.0, 4.0, 1.0, 5.0)]
+    treatment = [k * 1e-170 for k in (9.0, 2.0, 6.0, 5.0, 3.0)]
+    big_c, big_t = ([math.ldexp(v, 565) for v in arm] for arm in (control, treatment))
+    diffs = tuple(t - c for c, t in zip(control, treatment))
+    big_diffs = tuple(t - c for c, t in zip(big_c, big_t))
+    assert big_diffs == tuple(math.ldexp(d, 565) for d in diffs)
+    for sidedness in (TWO_SIDED, ONE_SIDED_GREATER):
+        pairs = [(paired_t_test(PairedSample("E1", diffs), sidedness),
+                  paired_t_test(PairedSample("E1", big_diffs), sidedness))]
+        pairs += [(independent_t_test(control, treatment, welch, sidedness),
+                   independent_t_test(big_c, big_t, welch, sidedness)) for welch in (True, False)]
+        for tiny, big in pairs:
+            assert (tiny.p_value, tiny.df, tiny.n) == (big.p_value, big.df, big.n)
+            assert (tiny.estimate, tiny.ci_low, tiny.ci_high) == tuple(
+                math.ldexp(v, -565) for v in (big.estimate, big.ci_low, big.ci_high))
+            assert 0.0 < tiny.ci_high - tiny.ci_low and 0.0 < tiny.p_value < 1.0
+
+
+def test_welch_t_test_of_arms_on_different_scales_matches_exact_moments():
+    # one arm near 1e-170, one near 1: the tiny arm's variance counts for nothing
+    control, treatment = [k * 1e-170 for k in (3.0, 1.0, 4.0)], [1.0, 2.5, 4.0, 3.0]
+    res = independent_t_test(control, treatment)
+    assert res.df == pytest.approx(len(treatment) - 1, rel=1e-15)
+    assert res.estimate == statistics.fmean(treatment) - statistics.fmean(control)
+    assert res.p_value == pytest.approx(scipy_stats.ttest_1samp(treatment, 0.0).pvalue, rel=1e-12)
+
+
+def test_independent_t_test_of_a_constant_arm_and_an_arm_beyond_its_scale_has_zero_variance():
+    # on the constant arm's scale the other arm's variance, about 1e-600, is 0
+    with pytest.raises(ValueError, match="^E3: both arms have zero variance$"):
+        independent_t_test([1.0, 1.0, 1.0], [1e-300, 2e-300], experiment_id="E3")

@@ -432,3 +432,63 @@ def test_t_and_normal_paths_agree_at_the_threshold():
         assert nm.t_cdf(x, below) == pytest.approx(nm.t_cdf(x, 1e30), rel=1e-13, abs=0.0)
     for p in (1e-300, 1e-10, 0.025, 0.3, 0.5, 0.975, 1.0 - 1e-16):
         assert nm.t_quantile(p, below) == pytest.approx(nm.t_quantile(p, 1e30), rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the memoized t kernels
+# ---------------------------------------------------------------------------
+
+MEMOS = (nm.t_quantile, nm.t_cdf, nm._ln_beta)
+T_QUANTILE_GRID = [(p, df) for df in [1.0, *np.logspace(np.log10(0.5), 6, 25)]
+                   for q in np.logspace(-12, np.log10(0.45), 25) for p in (q, 1.0 - q)]
+T_CDF_GRID = [(t, df) for df in [1.0, 2.0, *np.logspace(np.log10(0.5), 6, 31)]
+              for x in [0.0, *np.logspace(-3, np.log10(40.0), 30)] for t in (-x, x)]
+LN_BETA_GRID = [(0.5 * df, 0.5) for df in sorted({df for _, df in T_CDF_GRID + T_QUANTILE_GRID})]
+LN_BETA_GRID += [(0.5, 0.5), (0.5, 3.0), (2.0, 0.5), (40.0, 0.5), (0.5, 1e3)]
+
+
+@pytest.mark.parametrize("memo, grid", [(nm.t_quantile, T_QUANTILE_GRID), (nm.t_cdf, T_CDF_GRID),
+                                        (nm._ln_beta, LN_BETA_GRID)],
+                         ids=["t_quantile", "t_cdf", "_ln_beta"])
+def test_memoized_kernels_return_the_bits_of_the_kernel_itself(memo, grid):
+    # grid points are numpy scalars, as in the tier-1 grids, and their Python floats
+    memo.cache_clear()
+    for args in grid:
+        for call in (args, tuple(map(float, args))):
+            expected = memo.__wrapped__(*call)
+            for _ in range(3):  # a miss, then hits
+                got = memo(*call)
+                assert type(got) is type(expected) and got.hex() == expected.hex(), call
+    info = memo.cache_info()
+    assert info.hits >= 2 * len(grid) and info.misses >= len(set(grid))
+
+
+def test_a_memo_filled_from_numpy_scalars_returns_a_float_for_floats():
+    nm.t_cdf.cache_clear()
+    nm.t_quantile.cache_clear()
+    assert type(nm.t_cdf(np.float64(-2.0), np.float64(19.0))) is np.float64
+    assert type(nm.t_cdf(-2.0, 19.0)) is float
+    assert type(nm.t_sf(2.0, 19.0)) is float
+    nm.t_quantile(np.float64(0.975), np.float64(19.0))
+    assert type(nm.t_quantile(0.975, 19.0)) is float
+    assert nm.t_cdf(-2.0, 19.0) == nm.t_cdf(np.float64(-2.0), np.float64(19.0))
+
+
+@pytest.mark.parametrize("call", [lambda: nm.t_quantile(0.975, 0.0), lambda: nm.t_quantile(1.5, 5.0),
+                                  lambda: nm.t_quantile(0.0, 5.0), lambda: nm.t_cdf(1.0, -1.0),
+                                  lambda: nm.t_cdf(math.inf, 5.0), lambda: nm.t_sf(math.nan, 5.0),
+                                  lambda: nm.t_cdf(1.0, math.nan)])
+def test_invalid_arguments_raise_on_every_call(call):
+    # an exception is never cached: a repeat recomputes and raises again
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_each_memo_holds_about_one_ops_arguments():
+    # 32 entries hold the distinct t-kernel arguments of one family op (24 calls each);
+    # a memo large enough to replay the benchmark's pool of 32 families would report
+    # arguments seen before, not the cost of the kernels
+    for memo in MEMOS:
+        assert memo.cache_parameters() == {"maxsize": memo.cache_info().maxsize, "typed": True}
+        assert 0 < memo.cache_info().maxsize <= 32
