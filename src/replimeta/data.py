@@ -156,7 +156,7 @@ class ReplicationSet:
         return self._index[experiment_id]
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRow:
     """Per-replication summary statistics.
 
@@ -165,10 +165,7 @@ class SummaryRow:
 
     A within-subjects row's corr is None only when the paired correlation is
     undefined; no repeated-measures d can then be computed from the row.
-    A between-subjects row never carries corr.
-
-    ``__init__`` checks the fields, then fills ``self`` as a draft, whose plain stores
-    CPython specializes, and retypes it; ``load_summary_dataset`` passes a new draft."""
+    A between-subjects row never carries corr."""
 
     experiment_id: str
     n_control: int
@@ -182,37 +179,22 @@ class SummaryRow:
     median_control: float | None = None
     median_treatment: float | None = None
 
-    def __init__(self, experiment_id: str, n_control: int, n_treatment: int,
-                 mean_control: float, sd_control: float, mean_treatment: float,
-                 sd_treatment: float, corr: float | None, design: str,
-                 median_control: float | None = None, median_treatment: float | None = None):
-        if design not in DESIGNS:
-            raise DataError(f"unknown design {design!r} for {experiment_id}")
-        if not (n_control >= 2 and n_treatment >= 2 and n_control % 1 == n_treatment % 1 == 0):
+    def __post_init__(self):
+        experiment_id, corr = self.experiment_id, self.corr
+        if self.design not in DESIGNS:
+            raise DataError(f"unknown design {self.design!r} for {experiment_id}")
+        if not (self.n_control >= 2 and self.n_treatment >= 2
+                and self.n_control % 1 == self.n_treatment % 1 == 0):
             raise DataError(f"{experiment_id}: each arm needs n >= 2")
-        if sd_control < 0 or sd_treatment < 0:
+        if self.sd_control < 0 or self.sd_treatment < 0:
             raise DataError(f"{experiment_id}: standard deviations must be >= 0")
-        if not (math.isfinite(mean_control) and math.isfinite(sd_control)
-                and math.isfinite(mean_treatment) and math.isfinite(sd_treatment)):
+        if not (math.isfinite(self.mean_control) and math.isfinite(self.sd_control)
+                and math.isfinite(self.mean_treatment) and math.isfinite(self.sd_treatment)):
             raise DataError(f"{experiment_id}: means and standard deviations must be finite")
-        if corr is not None and design == "between":
+        if corr is not None and self.design == "between":
             raise DataError(f"{experiment_id}: between-subjects rows must not carry corr")
         if corr is not None and not -1.0 <= corr <= 1.0:
             raise DataError(f"{experiment_id}: corr {corr} outside [-1, 1]")
-        if type(self) is not _SummaryRowDraft:  # a new SummaryRow, not a loader's draft
-            object.__setattr__(self, "__class__", _SummaryRowDraft)
-        self.experiment_id = experiment_id
-        self.n_control = n_control
-        self.n_treatment = n_treatment
-        self.mean_control = mean_control
-        self.sd_control = sd_control
-        self.mean_treatment = mean_treatment
-        self.sd_treatment = sd_treatment
-        self.corr = corr
-        self.design = design
-        self.median_control = median_control
-        self.median_treatment = median_treatment
-        self.__class__ = SummaryRow
 
 
 @dataclass(frozen=True)
@@ -255,10 +237,10 @@ class CovariateRow:
 # A draft is a plain class with its record's slots: CPython specializes plain stores to a
 # draft's slots but not the frozen record's, and the equal slot layouts let a filled,
 # checked draft become its record by __class__ assignment. The loaders fill drafts from
-# cells they have checked. Only SummaryRow and effects.EffectSize hand-write an __init__
-# that fills self as a draft: pooling 2 000 summary rows calls them 2 000 and 6 000 times.
-# The loaders call Observation's constructor never and CovariateRow's only for cells not
-# spelled "1".."4", so those two keep the generated __init__ and check in __post_init__.
+# cells they have checked; the summary loader runs SummaryRow.__post_init__ on its draft.
+# Only effects.EffectSize hand-writes an __init__ that fills self as a draft: pooling
+# 2 000 summary rows builds 6 000 effect sizes, 2 000 of them through the constructor.
+# Every record here keeps the generated __init__ and checks in __post_init__.
 _ObservationDraft, _SummaryRowDraft, _CovariateRowDraft = (
     type(f"_{cls.__name__}Draft", (), {"__slots__": cls.__slots__})
     for cls in (Observation, SummaryRow, CovariateRow))
@@ -310,8 +292,9 @@ def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator:
     """Yield the csv reader, whose ``line_num`` names each row (read only on error, so
     no tuple is built per row), then the cells of each data row of a CSV file whose
     header names each expected column once, in any order, in the order of ``expected``.
-    Blank lines are skipped; a row with too few or too many fields is rejected."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    Blank lines are skipped; a row with too few or too many fields is rejected. A UTF-8
+    byte-order mark, as spreadsheet exports write, is dropped."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         names = tuple(next(reader, ()))
         if len(names) != len(expected) or set(names) != set(expected):
@@ -413,17 +396,23 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
         if exp in seen:
             raise DataError(f"{path}:{reader.line_num}: duplicate summary row for {exp!r}")
         seen.add(exp)
+        row = _SummaryRowDraft()
         try:  # SummaryRow rejects non-finite moments and corr; int() a non-finite count
             n_c, n_t = float(n_c), float(n_t)
-            SummaryRow.__init__(row := _SummaryRowDraft(), exp, int(n_c), int(n_t), float(m_c),
-                                float(s_c), float(m_t), float(s_t),
-                                float(corr) if corr.strip() else None, design.strip())
+            row.experiment_id, row.design = exp, design.strip()
+            row.n_control, row.n_treatment = int(n_c), int(n_t)
+            row.mean_control, row.sd_control = float(m_c), float(s_c)
+            row.mean_treatment, row.sd_treatment = float(m_t), float(s_t)
+            row.corr = float(corr) if corr.strip() else None
+            row.median_control = row.median_treatment = None
+            SummaryRow.__post_init__(row)
             if row.n_control != n_c or row.n_treatment != n_t:
                 raise ValueError("fractional count")
         except (ValueError, OverflowError) as err:
             numbers = [("corr", corr.strip())] if corr.strip() else []
             numbers += zip(SUMMARY_COLUMNS[1:7], cells[1:7])
             raise _row_error(f"{path}:{reader.line_num}", numbers, err) from None
+        row.__class__ = SummaryRow
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -76,17 +76,22 @@ def independent_t_test(control: list[float], treatment: list[float],
     welch=True (default) uses the Welch-Satterthwaite degrees of freedom;
     otherwise the pooled-variance test with df = n1 + n2 - 2.
     """
+    where = f"{experiment_id}: " if experiment_id else ""
     n_c, n_t = len(control), len(treatment)
     if n_c < 2 or n_t < 2:
-        raise ValueError(f"{experiment_id}: each arm needs at least 2 observations")
+        raise ValueError(f"{where}each arm needs at least 2 observations")
     (var_c, scale_c), (var_t, scale_t) = scaled_variance(control), scaled_variance(treatment)
     if not math.isfinite(var_c * scale_c * scale_c + var_t * scale_t * scale_t):  # as paired_t_test
-        raise ValueError(f"{experiment_id}: sample values and their variances must be finite")
-    # both arms on the larger scale, a power of two: at 1.0 every bit stays as it was
-    scale = max(scale_c, scale_t)
-    var_c, var_t = var_c * (scale_c / scale) ** 2, var_t * (scale_t / scale) ** 2
+        raise ValueError(f"{where}sample values and their variances must be finite")
     if var_c == 0.0 and var_t == 0.0:
-        raise ValueError(f"{experiment_id}: both arms have zero variance")
+        raise ValueError(f"{where}both arms have zero variance")
+    # the arms with a non-zero variance on the larger of their scales, a power of two (at 1.0
+    # every bit stays as it was); a zero variance stays 0, whatever the ratio of the scales
+    scale = max(scale_c if var_c else 0.0, scale_t if var_t else 0.0)
+    if var_c:
+        var_c *= (scale_c / scale) ** 2
+    if var_t:
+        var_t *= (scale_t / scale) ** 2
     estimate = sample_mean(treatment) - sample_mean(control)
     if welch:
         a, b = var_c / n_c, var_t / n_t

@@ -5,6 +5,9 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -73,10 +76,10 @@ RECORDS = {
 
 
 def test_hand_written_inits_exist():
-    # only the records an analysis builds by the thousand fill self as a draft; Observation
-    # and CovariateRow use the generated __init__ and check in __post_init__
+    # only EffectSize, which callers build by the thousand, fills self as a draft; the
+    # other records use the generated __init__ and check in __post_init__
     names = {cls.__name__ for cls in _hand_initialised_dataclasses()}
-    assert names == {"SummaryRow", "EffectSize"}
+    assert names == {"EffectSize"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -108,3 +111,15 @@ def test_hand_written_init_matches_fields(cls):
          inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
         for f in dataclasses.fields(cls)]
     assert cls.__dataclass_params__.frozen
+
+
+def test_the_readme_example_runs(tmp_path, monkeypatch, capsys):
+    # the example makes its files in tempfile.mkdtemp(); warnings are errors here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split("(")[0] for line in printed] == ["TestResult"] * 4 + [
+        "MetaResult", "SubgroupResult", "MetaRegressionResult"]
+    assert sorted(path.name for path in tmp_path.glob("*/*.csv")) == ["cov.csv", "raw.csv"]

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from replimeta import individual
 from replimeta.data import PairedSample
+from replimeta.descriptives import scaled_variance
 from replimeta.individual import (
     ONE_SIDED_GREATER,
     TWO_SIDED,
     independent_t_test,
     paired_t_test,
 )
+from replimeta.numerics import t_quantile
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -201,7 +204,49 @@ def test_welch_t_test_of_arms_on_different_scales_matches_exact_moments():
     assert res.p_value == pytest.approx(scipy_stats.ttest_1samp(treatment, 0.0).pvalue, rel=1e-12)
 
 
-def test_independent_t_test_of_a_constant_arm_and_an_arm_beyond_its_scale_has_zero_variance():
-    # on the constant arm's scale the other arm's variance, about 1e-600, is 0
-    with pytest.raises(ValueError, match="^E3: both arms have zero variance$"):
-        independent_t_test([1.0, 1.0, 1.0], [1e-300, 2e-300], experiment_id="E3")
+@pytest.mark.parametrize("welch", [True, False])
+def test_independent_t_test_of_a_constant_arm_and_an_arm_far_below_its_scale_is_defined(
+        welch, monkeypatch):
+    # the tiny arm's variance, about 5e-601, underflows; its sd, 7.1e-301, does not. The
+    # common scale is the tiny arm's, and the constant arm's zero variance stays 0
+    var, scale = scaled_variance([1e-300, 2e-300])
+    se = (math.sqrt(var / 2) if welch else math.sqrt(var / 3 * (1 / 3 + 1 / 2))) * scale
+    result, ses = individual._result, []  # the SE each test passes on
+    monkeypatch.setattr(individual, "_result", lambda *args: ses.append(args[2]) or result(*args))
+    for control, treatment in (([1.0, 1.0, 1.0], [1e-300, 2e-300]),
+                               ([1e-300, 2e-300], [1.0, 1.0, 1.0])):
+        res = independent_t_test(control, treatment, welch, experiment_id="E3")
+        assert res.df == (1.0 if welch else 3) and res.n == 5
+        assert all(map(math.isfinite, (res.estimate, res.ci_low, res.ci_high, res.p_value)))
+    assert ses == [pytest.approx(se, rel=1e-15)] * 2
+
+
+def test_independent_t_test_of_a_constant_arm_and_an_arm_of_tiny_values_keeps_its_interval():
+    # zeros beside 1e-300 and 2e-300: t = 3 on 1 df, and the interval is t_quantile(0.975, 1) SEs
+    var, scale = scaled_variance([1e-300, 2e-300])
+    res = independent_t_test([0.0, 0.0, 0.0], [1e-300, 2e-300])
+    half = t_quantile(0.975, 1.0) * math.sqrt(var / 2) * scale
+    assert res.estimate == 1.5e-300 and res.df == 1.0
+    assert res.ci_high - res.estimate == pytest.approx(half, rel=1e-12)
+    assert res.estimate - res.ci_low == pytest.approx(half, rel=1e-12)
+    assert res.p_value == pytest.approx(scipy_stats.t.sf(3.0, 1) * 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("welch", [True, False])
+def test_independent_t_test_of_two_constant_arms_still_has_zero_variance(welch):
+    for control, treatment in (([1.0, 1.0, 1.0], [2.0, 2.0]), ([0.0, 0.0], [1e-300, 1e-300])):
+        with pytest.raises(ValueError, match="^E3: both arms have zero variance$"):
+            independent_t_test(control, treatment, welch, experiment_id="E3")
+
+
+@pytest.mark.parametrize("control, treatment, message", [
+    ([1.0], [2.0, 3.0], "each arm needs at least 2 observations"),
+    ([1.0, 1.0], [2.0, 2.0], "both arms have zero variance"),
+    ([1.0, math.inf], [2.0, 3.0], "sample values and their variances must be finite"),
+])
+def test_independent_t_test_errors_carry_an_id_prefix_only_with_an_id(control, treatment, message):
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            independent_t_test(control, treatment)
+        with pytest.raises(ValueError, match=f"^E9: {message}$"):
+            independent_t_test(control, treatment, experiment_id="E9")

@@ -169,6 +169,29 @@ def test_covariate_file_with_permuted_header_and_blank_lines(tmp_path):
     assert [type(v) for row in table.rows for v in row.values] == [int] * 8
 
 
+@pytest.mark.parametrize("kind", ["raw", "summary", "covariates"])
+def test_a_utf8_byte_order_mark_is_dropped(tmp_path, kind):
+    # spreadsheet "CSV UTF-8" exports begin the file with U+FEFF
+    text = HEADERS[kind] + GOOD[kind]
+    plain, marked = write(tmp_path, text, "plain.csv"), write(tmp_path, "\ufeff" + text, "bom.csv")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load(kind, marked) == load(kind, plain)
+    # line numbers are unchanged: a short row after the good ones is named by its own line
+    faulty = write(tmp_path, "\ufeff" + text + "E1\n", "faulty.csv")
+    line, width = text.count("\n") + 1, HEADERS[kind].count(",") + 1
+    with pytest.raises(rd.DataError, match=re.escape(
+            f"{faulty}:{line}: malformed row (expected {width} fields, got 1)") + "$"):
+        load(kind, faulty)
+
+
+def test_the_writers_write_no_byte_order_mark(tmp_path):
+    rd.save_raw_dataset(raw_dataset(), raw := tmp_path / "raw.csv")
+    rd.save_summary_dataset(rd.load_summary_dataset(write(tmp_path, SUMMARY_HEADER + SUMMARY_OK)),
+                            summary := tmp_path / "summary.csv")
+    assert raw.read_bytes().startswith(b"experiment_id,")
+    assert summary.read_bytes().startswith(b"experiment_id,")
+
+
 @pytest.mark.parametrize("cell", ["3", " 3 ", "3.0", "3e0", "+3"])
 def test_every_spelling_of_an_ordinal_loads_to_the_same_int(tmp_path, cell):
     # "1".."4" take a dict lookup, any other spelling the float -> int path
