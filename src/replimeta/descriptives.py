@@ -34,6 +34,7 @@ __all__ = [
     "profile_series_covariates",
     "profile_series_outcomes",
     "sample_mean",
+    "sample_sd",
     "sample_variance",
     "scaled_variance",
     "summarize_covariates",
@@ -73,8 +74,9 @@ def scaled_variance(values) -> tuple[float, float]:
     return float(np.add.reduce(np.multiply(d, d, out=d)) / (d.size - 1)), scale
 
 
-def _sample_sd(values) -> float:
-    """Sample standard deviation, sqrt(v) scale from scaled_variance."""
+def sample_sd(values) -> float:
+    """Sample sd (n-1 denominator), sqrt(v) scale from scaled_variance, so that it keeps its
+    digits where the variance underflows: the sd summaries report and t-tests build SEs from."""
     v, scale = scaled_variance(values)
     return math.sqrt(v) * scale
 
@@ -147,8 +149,8 @@ def summarize_replication(replication: Replication) -> SummaryRow:
                           f"({reason}); reported as missing", AnalysisWarning)
     # by position: matching eleven keywords doubles the cost of the constructor call
     return SummaryRow(replication.experiment_id, control.size, treatment.size,
-                      sample_mean(control), _sample_sd(control),
-                      sample_mean(treatment), _sample_sd(treatment),
+                      sample_mean(control), sample_sd(control),
+                      sample_mean(treatment), sample_sd(treatment),
                       corr, replication.design, _median(control), _median(treatment))
 
 

@@ -107,7 +107,7 @@ def _tau2_mm(d: np.ndarray, v: np.ndarray, x: np.ndarray | None = None) -> float
 def _z_row(est: float, se: float) -> tuple[float, float, tuple[float, float], float]:
     """Estimate, SE, 95 % z interval and two-sided p, the p from the upper
     tail so that it keeps its digits."""
-    p = min(1.0, max(math.erfc(abs(est / se) / math.sqrt(2.0)), 1e-300))
+    p = max(math.erfc(abs(est / se) / math.sqrt(2.0)), 1e-300)
     return est, se, (est - _Z975 * se, est + _Z975 * se), p
 
 

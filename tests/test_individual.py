@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replimeta import individual
-from replimeta.data import PairedSample
-from replimeta.descriptives import scaled_variance
+from replimeta.data import CONTROL, TREATMENT, Observation, PairedSample, Replication, complete_pairs
+from replimeta.descriptives import sample_sd, scaled_variance, summarize_replication
 from replimeta.individual import (
     ONE_SIDED_GREATER,
     TWO_SIDED,
@@ -250,3 +250,55 @@ def test_independent_t_test_errors_carry_an_id_prefix_only_with_an_id(control, t
             independent_t_test(control, treatment)
         with pytest.raises(ValueError, match=f"^E9: {message}$"):
             independent_t_test(control, treatment, experiment_id="E9")
+
+
+@pytest.mark.parametrize("differences, message", [
+    ((1.0, 1.0), "differences have zero variance"),
+    ((1.0, math.inf, 4.0), "differences and their variance must be finite"),
+])
+def test_paired_t_test_errors_carry_an_id_prefix_only_with_an_id(differences, message):
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            paired_t_test(PairedSample("", differences))
+        with pytest.raises(ValueError, match=f"^E1: {message}$"):
+            paired_t_test(PairedSample("E1", differences))
+
+
+def test_welch_t_test_of_arms_near_1e_140_matches_scipy_on_the_arms_scaled_by_2_465():
+    # each u^2 = sd^2 / n is about 1e-281, and u^4 underflows; scipy's own df, from u^4,
+    # reads 1.0 here, so the oracle runs on the same arms scaled into the normal range
+    control, treatment = [1e-140, 2e-140, 3e-140], [2e-140, 4e-140, 5e-140]
+    res = independent_t_test(control, treatment)
+    oracle = scipy_stats.ttest_ind([math.ldexp(v, 465) for v in treatment],
+                                   [math.ldexp(v, 465) for v in control], equal_var=False)
+    assert res.df == pytest.approx(oracle.df, rel=1e-15)
+    assert res.p_value == pytest.approx(oracle.pvalue, rel=1e-12)
+    assert math.ldexp(res.ci_low, 465) == pytest.approx(oracle.confidence_interval().low, rel=1e-12)
+
+
+def _seeded_family(seed: int) -> list[Replication]:
+    """12 within-subjects replications of 3 to 40 participants, outcomes on scales from
+    1e-150 to 1e150, about one outcome in ten missing."""
+    rng = np.random.default_rng(seed)
+    family = []
+    for i in range(12):
+        n, scale = int(rng.integers(3, 41)), 10.0 ** rng.uniform(-150.0, 150.0)
+        control = rng.normal(3.0, 1.0, n) * scale
+        arms = {CONTROL: control, TREATMENT: control + rng.normal(0.5, 1.0, n) * scale}
+        family.append(Replication(f"E{i}", "within", tuple(
+            Observation(f"E{i}", f"p{j:02d}", arm, None if rng.random() < 0.1 else float(y[j]))
+            for j in range(n) for arm, y in arms.items())))
+    return family
+
+
+@pytest.mark.parametrize("seed", [22101, 22102, 22103])
+def test_t_test_ses_are_the_reported_sds_formula_bit_for_bit(seed):
+    for rep in _seeded_family(seed):
+        summary, pairs = summarize_replication(rep), complete_pairs(rep)
+        paired = paired_t_test(pairs)
+        welch = independent_t_test(rep.arm_values(CONTROL), rep.arm_values(TREATMENT))
+        for res, se in ((paired, sample_sd(pairs.differences) / math.sqrt(pairs.n_pairs)),
+                        (welch, math.hypot(summary.sd_control / math.sqrt(summary.n_control),
+                                           summary.sd_treatment / math.sqrt(summary.n_treatment)))):
+            half = t_quantile(0.975, res.df) * se
+            assert (res.ci_low, res.ci_high) == (res.estimate - half, res.estimate + half)
