@@ -60,8 +60,8 @@ def repeated_measures_d(row: SummaryRow, n_pairs: int | None = None) -> EffectSi
 
     The difference-score spread is rescaled to the cross-participant scale:
 
-        s_diff^2 = sd_c^2 + sd_t^2 - 2 r sd_c sd_t
-        s_within = s_diff / sqrt(2 (1 - r))
+        s_diff^2 = sd_c^2 + sd_t^2 - 2 r sd_c sd_t = (sd_c - sd_t)^2 + 2 (1 - r) sd_c sd_t
+        s_within = s_diff / sqrt(2 (1 - r)) = hypot((sd_c - sd_t) / sqrt(2 (1 - r)), sqrt(sd_c sd_t))
         d        = (mean_t - mean_c) / s_within
         var(d)   = (1/n + d^2 / (2 n)) * 2 (1 - r)
 
@@ -80,10 +80,10 @@ def repeated_measures_d(row: SummaryRow, n_pairs: int | None = None) -> EffectSi
     n = min(row.n_control, row.n_treatment) if n_pairs is None else n_pairs
     if not (n >= 2 and n % 1 == 0):  # NaN-safe
         raise ValueError(f"{row.experiment_id}: need at least 2 complete pairs")
-    s_diff_sq = row.sd_control ** 2 + row.sd_treatment ** 2 - 2.0 * r * row.sd_control * row.sd_treatment
-    if s_diff_sq <= 0.0:
+    sd_c, sd_t = row.sd_control, row.sd_treatment  # the hypot form squares no sd: any scale works
+    s_within = math.hypot((sd_c - sd_t) / math.sqrt(2.0 * (1.0 - r)), math.sqrt(sd_c) * math.sqrt(sd_t))
+    if s_within == 0.0:
         raise ValueError(f"{row.experiment_id}: difference-score variance is not positive")
-    s_within = math.sqrt(s_diff_sq) / math.sqrt(2.0 * (1.0 - r))
     d = (row.mean_treatment - row.mean_control) / s_within
     variance = (1.0 / n + d * d / (2.0 * n)) * 2.0 * (1.0 - r)
     EffectSize.__init__(effect := _EffectSizeDraft(), row.experiment_id, d, variance, n)
@@ -96,11 +96,11 @@ def between_subjects_d(row: SummaryRow) -> EffectSize:
         raise ValueError(f"{row.experiment_id}: between-subjects d requires a "
                          f"between-subjects row")
     n_c, n_t = row.n_control, row.n_treatment
-    pooled_var = (((n_c - 1) * row.sd_control ** 2 + (n_t - 1) * row.sd_treatment ** 2)
-                  / (n_c + n_t - 2))
-    if pooled_var <= 0.0:
+    pooled_sd = (math.hypot(math.sqrt(n_c - 1) * row.sd_control, math.sqrt(n_t - 1) * row.sd_treatment)
+                 / math.sqrt(n_c + n_t - 2))  # as the pooled t-test's SE: no sd is squared
+    if pooled_sd == 0.0:
         raise ValueError(f"{row.experiment_id}: pooled standard deviation is zero")
-    d = (row.mean_treatment - row.mean_control) / math.sqrt(pooled_var)
+    d = (row.mean_treatment - row.mean_control) / pooled_sd
     variance = (n_c + n_t) / (n_c * n_t) + d * d / (2.0 * (n_c + n_t))
     EffectSize.__init__(effect := _EffectSizeDraft(), row.experiment_id, d, variance, n_c + n_t)
     return effect

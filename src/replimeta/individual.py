@@ -1,11 +1,17 @@
 """Consistent per-replication inference: dependent t-tests for
 within-subjects designs, independent (Welch or pooled) t-tests otherwise.
-A test's SE is built from the same sample sds that the summaries report."""
+A test's SE is built from the same sample sds that the summaries report.
+
+The critical value and the tail come from ``_t_quantile`` and ``_t_sf``, bounded, typed
+memos of the pure ``numerics`` kernels: a replication's two-sided and one-sided tests
+share them, and paired replications of equal size share df. Each bound holds about one
+family's arguments; ``typed`` keeps numpy scalars from answering floats, and no error is kept."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .data import PairedSample
 from .descriptives import sample_mean, sample_sd
@@ -16,6 +22,8 @@ __all__ = ["TestResult", "independent_t_test", "paired_t_test", "TWO_SIDED", "ON
 TWO_SIDED = "two_sided"
 ONE_SIDED_GREATER = "one_sided_greater"
 _P_FLOOR = 1e-300
+_t_quantile = lru_cache(maxsize=32, typed=True)(t_quantile)
+_t_sf = lru_cache(maxsize=16, typed=True)(t_sf)
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,8 @@ def _result(experiment_id, estimate, se, df, sidedness, alpha, n) -> TestResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     t = estimate / se
-    half = t_quantile(1.0 - alpha / 2.0, df) * se
-    p = t_sf(t, df) if sidedness == ONE_SIDED_GREATER else 2.0 * t_sf(abs(t), df)
+    half = _t_quantile(1.0 - alpha / 2.0, df) * se
+    p = _t_sf(t, df) if sidedness == ONE_SIDED_GREATER else 2.0 * _t_sf(abs(t), df)
     return TestResult(experiment_id, estimate, estimate - half, estimate + half,
                       max(p, _P_FLOOR), df, sidedness, n)
 
@@ -58,8 +66,9 @@ def paired_t_test(sample: PairedSample, sidedness: str = TWO_SIDED,
         raise ValueError(f"{where}differences and their variance must be finite")
     if sd == 0.0:
         raise ValueError(f"{where}differences have zero variance")
-    return _result(sample.experiment_id, sample_mean(diffs), sd / math.sqrt(n), n - 1,
-                   sidedness, alpha, n)
+    if (se := sd / math.sqrt(n)) == 0.0:  # a subnormal sd
+        raise ValueError(f"{where}the standard error underflows to 0")
+    return _result(sample.experiment_id, sample_mean(diffs), se, n - 1, sidedness, alpha, n)
 
 
 def independent_t_test(control: list[float], treatment: list[float],
@@ -80,13 +89,14 @@ def independent_t_test(control: list[float], treatment: list[float],
     if sd_c == 0.0 and sd_t == 0.0:
         raise ValueError(f"{where}both arms have zero variance")
     estimate = sample_mean(treatment) - sample_mean(control)
+    u_c, u_t = sd_c / math.sqrt(n_c), sd_t / math.sqrt(n_t)
+    se = (math.hypot(u_c, u_t) if welch else
+          math.hypot(math.sqrt(n_c - 1) * sd_c, math.sqrt(n_t - 1) * sd_t)
+          * math.sqrt((1.0 / n_c + 1.0 / n_t) / (n_c + n_t - 2)))
+    if se == 0.0:  # as paired_t_test
+        raise ValueError(f"{where}the standard error underflows to 0")
+    df = n_c + n_t - 2
     if welch:
-        u_c, u_t = sd_c / math.sqrt(n_c), sd_t / math.sqrt(n_t)
-        se = math.hypot(u_c, u_t)
         r_c, r_t = u_c / se, u_t / se  # the larger r^4 is at least 1/4: the sum cannot underflow
         df = 1.0 / (r_c * r_c * r_c * r_c / (n_c - 1) + r_t * r_t * r_t * r_t / (n_t - 1))
-    else:
-        se = (math.hypot(math.sqrt(n_c - 1) * sd_c, math.sqrt(n_t - 1) * sd_t)
-              * math.sqrt((1.0 / n_c + 1.0 / n_t) / (n_c + n_t - 2)))
-        df = n_c + n_t - 2
     return _result(experiment_id, estimate, se, df, sidedness, alpha, n_c + n_t)

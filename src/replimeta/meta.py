@@ -87,7 +87,7 @@ def _fit(d: np.ndarray, w: np.ndarray, x: np.ndarray | None = None
     s = float(np.add.reduce(w * xc ** 2))
     slope = float(np.add.reduce(w * xc * r) / s)
     r -= slope * xc
-    return ((mean - slope * xbar, slope), (math.sqrt(1.0 / sw + xbar ** 2 / s), 1.0 / math.sqrt(s)),
+    return ((mean - slope * xbar, slope), (math.sqrt(1.0 / sw + xbar * xbar / s), 1.0 / math.sqrt(s)),
             float(np.add.reduce(w * r ** 2)), 1.0 / sw + xc ** 2 / s)
 
 

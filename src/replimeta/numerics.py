@@ -4,20 +4,14 @@ The t tails run one continued fraction of the incomplete beta at (df/2, 1/2),
 chosen in ``_t_tail``; the chi-square tail is the regularized upper gamma
 (continued fraction with series fallback). No runtime dependency on scipy.
 
-``t_quantile`` (32 entries), ``t_cdf`` (16, which ``t_sf`` calls) and ``_ln_beta``
-(32) are memoized by ``functools.lru_cache(typed=True)``: a replication's two-sided
-and one-sided t-tests ask for the same critical value and tail, and replications
-of equal size share df. Each bound holds about one family's distinct arguments,
-so memory stays constant and a hit means the same arguments recurred within a few
-tests; ``typed`` keeps a call with numpy scalars from answering a call with floats.
-A hit returns the bits the kernel computed; an error is not cached.
+Every kernel is a pure function and keeps no state; a caller that repeats its
+arguments memoizes them itself (``individual`` does, for the t-tests).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from statistics import NormalDist
 
 __all__ = [
@@ -85,7 +79,6 @@ def _beta_frac(a: float, b: float, x: float, y: float, lam: float) -> float:
     raise ArithmeticError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
 
 
-@lru_cache(maxsize=32, typed=True)
 def _ln_beta(a: float, b: float) -> float:
     """ln B(a, b). From a larger argument b of 8 on, ln(Gamma(b) / Gamma(a + b)) is
     DiDonato & Morris's ALGDIV, free of the rounding of two large lgamma values."""
@@ -168,7 +161,6 @@ def _t_tail(x: float, df: float, q: float, ln_beta: float) -> float:
     return (0.5 - q) - 0.5 * (front * _beta_frac(0.5, a, y, z, lam))
 
 
-@lru_cache(maxsize=16, typed=True)
 def t_cdf(x: float, df: float) -> float:
     """CDF of Student's t with `df` degrees of freedom."""
     if not 0.0 < df < math.inf:
@@ -208,7 +200,6 @@ def _hill_seed(q: float, df: float) -> float:
     return math.sqrt(df * y)
 
 
-@lru_cache(maxsize=32, typed=True)
 def t_quantile(p: float, df: float) -> float:
     """Inverse CDF of Student's t.
 
@@ -222,9 +213,6 @@ def t_quantile(p: float, df: float) -> float:
     all that a subnormal q resolves; past _T_QUANTILE_MAX_STEPS steps they raise
     ArithmeticError. Against scipy the relative error is below 1e-12 for df in
     [0.5, 1e6] and p in [1e-12, 1 - 1e-12].
-
-    Memoized (32 entries, typed): both t-tests of a replication need the same
-    critical value, and replications of equal size share df. An error is not cached.
     """
     if not 0.0 < df < math.inf:
         raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")

@@ -222,3 +222,46 @@ def test_hedges_correction_keeps_the_other_fields():
     assert g == EffectSize("E7", 0.4 * j, 0.1 * j * j, 20, True, "student", 2.5)
     kept = (g.experiment_id, g.n_effective, g.subgroup_label, g.moderator_x)
     assert kept == ("E7", 20, "student", 2.5)
+
+
+def _row(design: str, scale: float = 1.0, means=(0.0, 0.5), sds=(1.0, 1.5)) -> SummaryRow:
+    """A 10 + 12 row of the given design (corr 0.5 when within), its means and sds times scale."""
+    return SummaryRow("E", 10, 12, means[0] * scale, sds[0] * scale, means[1] * scale,
+                      sds[1] * scale, 0.5 if design == "within" else None, design)
+
+
+D_OF = {"within": repeated_measures_d, "between": between_subjects_d}
+UNIT_D = {"within": 0.5 / math.sqrt(1.75), "between": 0.5 / math.sqrt(33.75 / 20)}  # 0.3780, 0.3849
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+@pytest.mark.parametrize("design", ["within", "between"])
+def test_d_and_its_variance_are_scale_free_bit_for_bit(design, exponent):
+    # no sd is squared, so a power-of-two scale leaves every operation exact
+    means, sds = (2.7, 3.1), (1.3, 0.7)
+    unit = D_OF[design](_row(design, 1.0, means, sds))
+    scaled = D_OF[design](_row(design, math.ldexp(1.0, exponent), means, sds))
+    assert (scaled.d.hex(), scaled.variance.hex()) == (unit.d.hex(), unit.variance.hex())
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+@pytest.mark.parametrize("design", ["within", "between"])
+def test_d_of_rows_whose_squared_sds_leave_the_float_range_is_the_unit_scale_d(design, scale):
+    # at 1e200 the squares overflowed, at 1e-170 they underflowed to 0
+    unit = D_OF[design](_row(design))
+    assert unit.d == pytest.approx(UNIT_D[design], rel=1e-15)
+    assert D_OF[design](_row(design, scale)).d == pytest.approx(unit.d, rel=1e-15)
+
+
+def test_repeated_measures_d_keeps_its_digits_as_corr_nears_one():
+    # equal sds: s_within is the sd whatever r is, which the difference-score
+    # variance sd^2 + sd^2 - 2 r sd^2 kept only to about 1e-4 at r = 1 - 2^-40
+    row = SummaryRow("E", 10, 10, 0.0, 1.1, 0.5, 1.1, 1.0 - 2.0 ** -40, "within")
+    assert repeated_measures_d(row).d == pytest.approx(0.5 / 1.1, rel=1e-15)
+
+
+def test_rows_whose_sds_are_zero_are_rejected_with_their_messages():
+    with pytest.raises(ValueError, match="^E: difference-score variance is not positive$"):
+        repeated_measures_d(_row("within", sds=(0.0, 0.0)))
+    with pytest.raises(ValueError, match="^E: pooled standard deviation is zero$"):
+        between_subjects_d(_row("between", sds=(0.0, 0.0)))

@@ -16,7 +16,7 @@ from replimeta.individual import (
     independent_t_test,
     paired_t_test,
 )
-from replimeta.numerics import t_quantile
+from replimeta.numerics import t_quantile, t_sf
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -302,3 +302,69 @@ def test_t_test_ses_are_the_reported_sds_formula_bit_for_bit(seed):
                                            summary.sd_treatment / math.sqrt(summary.n_treatment)))):
             half = t_quantile(0.975, res.df) * se
             assert (res.ci_low, res.ci_high) == (res.estimate - half, res.estimate + half)
+
+
+@pytest.mark.parametrize("welch", [True, False])
+def test_independent_t_test_of_arms_whose_se_underflows_is_rejected(welch):
+    # the treatment sd is 5e-324, but sd / sqrt(10) and so the SE round to 0
+    control, treatment = [0.0] * 9 + [5e-324], [0.0] * 9 + [1e-323]
+    with pytest.raises(ValueError, match="^E3: the standard error underflows to 0$"):
+        independent_t_test(control, treatment, welch, experiment_id="E3")
+    with pytest.raises(ValueError, match="^the standard error underflows to 0$"):
+        independent_t_test(control, treatment, welch)
+
+
+def test_paired_t_test_of_differences_whose_se_underflows_is_rejected():
+    differences = (0.0,) * 8 + (5e-324, 1e-323)
+    assert sample_sd(differences) > 0.0
+    with pytest.raises(ValueError, match="^E1: the standard error underflows to 0$"):
+        paired_t_test(PairedSample("E1", differences))
+    with pytest.raises(ValueError, match="^the standard error underflows to 0$"):
+        paired_t_test(PairedSample("", differences))
+
+
+# ---------------------------------------------------------------------------
+# the t-kernel memos
+# ---------------------------------------------------------------------------
+
+MEMOS = (individual._t_quantile, individual._t_sf)
+T_QUANTILE_GRID = [(p, df) for df in [1.0, *np.logspace(np.log10(0.5), 6, 25)]
+                   for q in np.logspace(-12, np.log10(0.45), 25) for p in (q, 1.0 - q)]
+T_SF_GRID = [(t, df) for df in [1.0, 2.0, *np.logspace(np.log10(0.5), 6, 31)]
+             for x in [0.0, *np.logspace(-3, np.log10(40.0), 30)] for t in (-x, x)]
+
+
+@pytest.mark.parametrize("memo, kernel, grid", [(individual._t_quantile, t_quantile, T_QUANTILE_GRID),
+                                                (individual._t_sf, t_sf, T_SF_GRID)],
+                         ids=["t_quantile", "t_sf"])
+def test_memoized_kernels_return_the_bits_of_the_kernel_itself(memo, kernel, grid):
+    # grid points are numpy scalars, as in the tier-1 grids, and their Python floats
+    assert memo.__wrapped__ is kernel
+    memo.cache_clear()
+    for args in grid:
+        for call in (args, tuple(map(float, args))):
+            expected = kernel(*call)
+            for _ in range(3):  # a miss, then hits
+                got = memo(*call)
+                assert type(got) is type(expected) and got.hex() == expected.hex(), call
+    info = memo.cache_info()
+    assert info.hits >= 2 * len(grid) and info.misses >= len(set(grid))
+
+
+def test_a_memo_filled_from_numpy_scalars_returns_a_float_for_floats():
+    individual._t_sf.cache_clear()
+    individual._t_quantile.cache_clear()
+    assert type(individual._t_sf(np.float64(2.0), np.float64(19.0))) is np.float64
+    assert type(individual._t_sf(2.0, 19.0)) is float
+    individual._t_quantile(np.float64(0.975), np.float64(19.0))
+    assert type(individual._t_quantile(0.975, 19.0)) is float
+    assert individual._t_sf(2.0, 19.0) == individual._t_sf(np.float64(2.0), np.float64(19.0))
+
+
+def test_each_memo_holds_about_one_ops_arguments():
+    # 32 entries hold the distinct t-kernel arguments of one family op (24 calls each);
+    # a memo large enough to replay the benchmark's pool of 32 families would report
+    # arguments seen before, not the cost of the kernels
+    for memo in MEMOS:
+        assert memo.cache_parameters() == {"maxsize": memo.cache_info().maxsize, "typed": True}
+        assert 0 < memo.cache_info().maxsize <= 32

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from fractions import Fraction
 
@@ -328,7 +330,6 @@ def test_t_quantile_of_a_subnormal_p_stops_at_the_spacing_of_its_tail(p, df):
 
 def test_t_quantile_raises_when_halley_runs_out_of_steps(monkeypatch):
     monkeypatch.setattr(nm, "_T_QUANTILE_MAX_STEPS", 0)
-    nm.t_quantile.cache_clear()  # an earlier call's (0.975, 5.0) entry would answer 2.5706
     with pytest.raises(ArithmeticError, match=r"^t quantile failed to converge for p=0\.975, df=5\.0$"):
         nm.t_quantile(0.975, 5.0)
     # the closed forms take no step
@@ -436,43 +437,19 @@ def test_t_and_normal_paths_agree_at_the_threshold():
 
 
 # ---------------------------------------------------------------------------
-# the memoized t kernels
+# the kernels keep no state
 # ---------------------------------------------------------------------------
 
-MEMOS = (nm.t_quantile, nm.t_cdf, nm._ln_beta)
-T_QUANTILE_GRID = [(p, df) for df in [1.0, *np.logspace(np.log10(0.5), 6, 25)]
-                   for q in np.logspace(-12, np.log10(0.45), 25) for p in (q, 1.0 - q)]
-T_CDF_GRID = [(t, df) for df in [1.0, 2.0, *np.logspace(np.log10(0.5), 6, 31)]
-              for x in [0.0, *np.logspace(-3, np.log10(40.0), 30)] for t in (-x, x)]
-LN_BETA_GRID = [(0.5 * df, 0.5) for df in sorted({df for _, df in T_CDF_GRID + T_QUANTILE_GRID})]
-LN_BETA_GRID += [(0.5, 0.5), (0.5, 3.0), (2.0, 0.5), (40.0, 0.5), (0.5, 1e3)]
-
-
-@pytest.mark.parametrize("memo, grid", [(nm.t_quantile, T_QUANTILE_GRID), (nm.t_cdf, T_CDF_GRID),
-                                        (nm._ln_beta, LN_BETA_GRID)],
-                         ids=["t_quantile", "t_cdf", "_ln_beta"])
-def test_memoized_kernels_return_the_bits_of_the_kernel_itself(memo, grid):
-    # grid points are numpy scalars, as in the tier-1 grids, and their Python floats
-    memo.cache_clear()
-    for args in grid:
-        for call in (args, tuple(map(float, args))):
-            expected = memo.__wrapped__(*call)
-            for _ in range(3):  # a miss, then hits
-                got = memo(*call)
-                assert type(got) is type(expected) and got.hex() == expected.hex(), call
-    info = memo.cache_info()
-    assert info.hits >= 2 * len(grid) and info.misses >= len(set(grid))
-
-
-def test_a_memo_filled_from_numpy_scalars_returns_a_float_for_floats():
-    nm.t_cdf.cache_clear()
-    nm.t_quantile.cache_clear()
-    assert type(nm.t_cdf(np.float64(-2.0), np.float64(19.0))) is np.float64
-    assert type(nm.t_cdf(-2.0, 19.0)) is float
-    assert type(nm.t_sf(2.0, 19.0)) is float
-    nm.t_quantile(np.float64(0.975), np.float64(19.0))
-    assert type(nm.t_quantile(0.975, 19.0)) is float
-    assert nm.t_cdf(-2.0, 19.0) == nm.t_cdf(np.float64(-2.0), np.float64(19.0))
+def test_the_kernels_keep_no_state():
+    # which calls repeat is the callers' knowledge: individual memoizes its t-test calls
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(nm))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "functools" not in imported
+    assert [name for name, value in vars(nm).items() if hasattr(value, "cache_info")] == []
 
 
 @pytest.mark.parametrize("call", [lambda: nm.t_quantile(0.975, 0.0), lambda: nm.t_quantile(1.5, 5.0),
@@ -484,12 +461,3 @@ def test_invalid_arguments_raise_on_every_call(call):
     for _ in range(3):
         with pytest.raises(ValueError):
             call()
-
-
-def test_each_memo_holds_about_one_ops_arguments():
-    # 32 entries hold the distinct t-kernel arguments of one family op (24 calls each);
-    # a memo large enough to replay the benchmark's pool of 32 families would report
-    # arguments seen before, not the cost of the kernels
-    for memo in MEMOS:
-        assert memo.cache_parameters() == {"maxsize": memo.cache_info().maxsize, "typed": True}
-        assert 0 < memo.cache_info().maxsize <= 32
