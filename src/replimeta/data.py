@@ -392,7 +392,7 @@ def load_summary_dataset(path: str | Path) -> list[SummaryRow]:
         exp, n_c, n_t, m_c, s_c, m_t, s_t, corr, design = cells
         exp = exp.strip()
         if not exp:
-            raise DataError(f"{path}:{reader.line_num}: empty experiment or participant id")
+            raise DataError(f"{path}:{reader.line_num}: empty experiment id")
         if exp in seen:
             raise DataError(f"{path}:{reader.line_num}: duplicate summary row for {exp!r}")
         seen.add(exp)

@@ -113,7 +113,7 @@ def hedges_correction(effect: EffectSize, df: float) -> EffectSize:
     if effect.corrected:
         raise ValueError(f"{effect.experiment_id}: effect size already corrected")
     if not df > 1.0:  # NaN-safe
-        raise ValueError(f"degrees of freedom must exceed 1, got {df}")
+        raise ValueError(f"{effect.experiment_id}: degrees of freedom must exceed 1, got {df}")
     j = 1.0 - 3.0 / (4.0 * df - 1.0)
     EffectSize.__init__(corrected := _EffectSizeDraft(), effect.experiment_id, effect.d * j,
                         effect.variance * j * j, effect.n_effective, True,

@@ -1,8 +1,10 @@
 """Numerical kernel: distribution functions and quantiles.
 
 The t tails run one continued fraction of the incomplete beta at (df/2, 1/2),
-chosen in ``_t_tail``; the chi-square tail is the regularized upper gamma
-(continued fraction with series fallback). No runtime dependency on scipy.
+chosen in ``_t_tail``; the chi-square tail is the regularized upper gamma in
+one routine, ``chisq_sf`` (series below the mean, continued fraction above).
+One Stirling series, ``_stirling``, serves both ln B and the gamma prefactor.
+No runtime dependency on scipy.
 
 Every kernel is a pure function and keeps no state; a caller that repeats its
 arguments memoizes them itself (``individual`` does, for the t-tests).
@@ -79,62 +81,24 @@ def _beta_frac(a: float, b: float, x: float, y: float, lam: float) -> float:
     raise ArithmeticError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
 
 
+def _stirling(s: float) -> float:
+    """ln Gamma(s) - ((s - 1/2) ln s - s + ln(2 pi) / 2) for s >= 8: Stirling's series
+    to B_18 in 1/s^2, within 2e-17 of it."""
+    t = 1.0 / (s * s)
+    return (1 / 12 + t * (-1 / 360 + t * (1 / 1260 + t * (-1 / 1680 + t * (1 / 1188 + t * (
+        -691 / 360360 + t * (1 / 156 + t * (-3617 / 122400 + t * (43867 / 244188))))))))) / s
+
+
 def _ln_beta(a: float, b: float) -> float:
-    """ln B(a, b). From a larger argument b of 8 on, ln(Gamma(b) / Gamma(a + b)) is
-    DiDonato & Morris's ALGDIV, free of the rounding of two large lgamma values."""
+    """ln B(a, b). From a larger argument b of 8 on, ln(Gamma(b) / Gamma(a + b)) takes
+    its Stirling corrections from ``_stirling``, as DiDonato & Morris's ALGDIV does
+    (1992, ACM TOMS 18:360), free of the rounding of two large lgamma values."""
     a, b = min(a, b), max(a, b)
     if b < 8.0:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    h = a / b
-    c, x, t = h / (1.0 + h), 1.0 / (1.0 + h), 1.0 / (b * b)
-    x2 = x * x
-    s3 = 1.0 + (x + x2)  # s_n = (1 - x^n) / (1 - x)
-    s5 = 1.0 + (x + x2 * s3)
-    s7 = 1.0 + (x + x2 * s5)
-    s9 = 1.0 + (x + x2 * s7)
-    s11 = 1.0 + (x + x2 * s9)
-    w = (((((-0.165322962780713e-02 * s11 * t + 0.837308034031215e-03 * s9) * t  # del(b) - del(a+b)
-            - 0.595202931351870e-03 * s7) * t + 0.793650666825390e-03 * s5) * t
-          - 0.277777777760991e-02 * s3) * t + 0.833333333333333e-01) * (c / b)
-    u, v = (b + (a - 0.5)) * math.log1p(h), a * (math.log(b) - 1.0)
+    w = _stirling(b) - _stirling(a + b)
+    u, v = (b + (a - 0.5)) * math.log1p(a / b), a * (math.log(b) - 1.0)
     return math.lgamma(a) + ((w - v) - u if u > v else (w - u) - v)
-
-
-def _gamma_series(s: float, x: float) -> float:
-    """Series expansion of the regularized lower incomplete gamma P(s, x)."""
-    term = 1.0 / s
-    total = term
-    ap = s
-    for _ in range(_MAX_ITER * 3):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ArithmeticError(f"incomplete gamma series failed for s={s}, x={x}")
-
-
-def _gamma_cont_frac(s: float, x: float) -> float:
-    """Lentz's continued fraction for the regularized upper gamma Q(s, x)."""
-    b = x + 1.0 - s
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER * 3):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ArithmeticError(f"incomplete gamma continued fraction failed for s={s}, x={x}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +216,52 @@ def t_quantile(p: float, df: float) -> float:
 
 
 def chisq_sf(x: float, df: float) -> float:
-    """Survival function P(X > x) of the chi-square distribution: the regularized
-    upper gamma Q(df/2, x/2), computed without cancellation for large x."""
+    """Survival function P(X > x) of the chi-square distribution, Q(s, z) with
+    s = df/2 and z = x/2: below z = s + 1, 1 - P(s, z) by the series of P, else
+    Lentz's continued fraction for Q. Both scale by z^s e^-z / Gamma(s), formed
+    from s = 8 on with ``_stirling``, free of the rounding of s ln z and ln Gamma(s)."""
     if not 0.0 < df < math.inf:
         raise ValueError(f"degrees of freedom must be positive and finite, got {df!r}")
     if not x >= 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x!r}")
     s, x = 0.5 * df, 0.5 * x
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_series(s, x)
-    return _gamma_cont_frac(s, x) if x < math.inf else 0.0
+    if x == 0.0 or x == math.inf:
+        return 1.0 if x == 0.0 else 0.0
+    if s < 8.0:
+        front = math.exp(-x + s * math.log(x) - math.lgamma(s))
+    else:  # ln front = -s (u - ln(1 + u)) - stirling(s) + ln(s / 2 pi) / 2, u = z/s - 1
+        u = (x - s) / s
+        lead = s * (u - math.log1p(u)) if u > -1.0 else math.inf  # u = -1: front < 1e-120
+        front = math.exp(-lead - _stirling(s)) * math.sqrt(s / math.tau)
+    series = x < s + 1.0
+    if series:
+        ap, term = s, 1.0 / s
+        total = term
+        for _ in range(_MAX_ITER * 3):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * _EPS:
+                return 1.0 - total * front
+    else:
+        b, c = x + 1.0 - s, 1.0 / _TINY
+        h = d = 1.0 / b
+        for i in range(1, _MAX_ITER * 3):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _TINY:
+                d = _TINY
+            c = b + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _EPS:
+                return h * front
+    raise ArithmeticError(f"incomplete gamma {'series' if series else 'continued fraction'}"
+                          f" failed for s={s}, x={x}")
 
 
 def sqrt_of_ratio(num: int, den: int) -> float:

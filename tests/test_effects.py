@@ -107,7 +107,7 @@ def test_hedges_rejects_double_application():
 def test_hedges_rejects_tiny_df():
     with pytest.raises(ValueError, match="exceed 1"):
         hedges_correction(repeated_measures_d(ROW_O), df=1.0)
-    with pytest.raises(ValueError, match="^degrees of freedom must exceed 1, got nan$"):
+    with pytest.raises(ValueError, match="^F-Secure O: degrees of freedom must exceed 1, got nan$"):
         hedges_correction(repeated_measures_d(ROW_O), df=math.nan)
 
 

@@ -76,7 +76,7 @@ ROW_ERRORS = [
     ("summary", "E1,5,5,1,1,2,1,0.5,within", "duplicate summary row for 'E1'"),
     ("summary", "E2,5,5,1,1,2,1,0.5", "malformed row (expected 9 fields, got 8)"),
     ("summary", "E2,5,5,1,1,2,1,0.5,within,x", "malformed row (expected 9 fields, got 10)"),
-    ("summary", " ,5,5,1,1,2,1,0.5,within", "empty experiment or participant id"),
+    ("summary", " ,5,5,1,1,2,1,0.5,within", "empty experiment id"),
     ("covariates", "E1,p2,student,3,x,2,1", "malformed java value 'x'"),
     ("covariates", "E1,p2,student,3,2,inf,1", "unit_testing must be finite, got 'inf'"),
     ("covariates", "E1,p2,student,3,2,2,2.5", "junit must be an integer, got '2.5'"),

@@ -437,6 +437,61 @@ def test_t_and_normal_paths_agree_at_the_threshold():
 
 
 # ---------------------------------------------------------------------------
+# the chi-square tail and the Stirling series against mpmath
+# ---------------------------------------------------------------------------
+
+def mpmath_chisq_sf(x, df):
+    """Q(a, z) = 1 - z^a e^-z / Gamma(a + 1) 1F1(1; a + 1; z), a = df/2 and z = x/2, to
+    80 digits; mpmath.gammainc fails to converge near the mean from df of about 1e3."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        a, z = mpmath.mpf(df) / 2, mpmath.mpf(x) / 2
+        front = mpmath.exp(a * mpmath.log(z) - z - mpmath.loggamma(a + 1))
+        return 1 - front * mpmath.hyp1f1(1, a + 1, z)
+
+
+def test_chisq_sf_against_mpmath_grid():
+    # the prefactor z^s e^-z / Gamma(s) from lgamma terms was 2e-11 off at df 2e4, x = df
+    for df in np.logspace(0.0, math.log10(2e4), 25).tolist():
+        for ratio in (0.3, 0.5, 0.8, 0.95, 1.0, 1.02, 1.05, 1.2, 1.5, 2.0):
+            expected = mpmath_chisq_sf(ratio * df, df)
+            if expected > 1e-40:
+                assert nm.chisq_sf(ratio * df, df) == pytest.approx(float(expected), rel=1e-12,
+                                                                    abs=0.0), (ratio, df)
+
+
+def test_chisq_sf_series_and_continued_fraction_agree_at_the_switch():
+    # x/2 = s + 1 runs the continued fraction, the float just below it the series
+    for df in np.logspace(math.log10(16.0), math.log10(2e4), 200).tolist():
+        z = 0.5 * df + 1.0
+        above, below = nm.chisq_sf(2.0 * z, df), nm.chisq_sf(2.0 * math.nextafter(z, 0.0), df)
+        assert below == pytest.approx(above, rel=1e-12, abs=0.0), df
+
+
+def test_chisq_sf_far_below_a_large_df_is_one():
+    # z/s - 1 rounds to -1 here, where ln(1 + u) is undefined and the lower tail negligible
+    assert nm.chisq_sf(1e-300, 20.0) == 1.0
+    assert nm.chisq_sf(1.0, 2e300) == 1.0
+
+
+def test_stirling_series_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in np.logspace(math.log10(8.0), 12.0, 200).tolist():
+            m = mpmath.mpf(s)
+            leading = (m - 0.5) * mpmath.log(m) - m + mpmath.log(2 * mpmath.pi) / 2
+            assert abs(nm._stirling(s) - (mpmath.loggamma(m) - leading)) <= 2e-17, s
+
+
+def test_ln_beta_of_the_t_kernels_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for df in np.logspace(math.log10(16.0), 30.0, 300).tolist():
+            expected = mpmath.log(mpmath.beta(mpmath.mpf(df) / 2, mpmath.mpf(0.5)))
+            assert abs(nm._ln_beta(0.5 * df, 0.5) - expected) <= 4e-15, df
+
+
+# ---------------------------------------------------------------------------
 # the kernels keep no state
 # ---------------------------------------------------------------------------
 
