@@ -43,6 +43,7 @@ RANDOM_DL = "random_dl"
 RANDOM_REML = "random_reml"
 _Z975 = normal_quantile(0.975)
 _HALVINGS = np.array([0.5 ** j for j in range(40)])  # REML's grid: 2^-39 > 1e-12 > 2^-40
+_SCAN_ROWS = 8  # grid points to a numpy pass of the REML scan
 
 
 @dataclass(frozen=True)
@@ -139,38 +140,36 @@ def _tau2_reml(d: np.ndarray, v: np.ndarray) -> float:
     """REML tau^2 (Viechtbauer 2005): the root of the score y'PPy - tr(P) =
     sum((w (d - mu))^2) - sum(w) + sum(w^2) / sum(w), w = 1 / (v + tau^2).
 
-    The score is scanned on the halving grid from top = max(10 var d, 10 max v,
-    1) down to 1e-12 top, eight points to a numpy pass. The first positive point
-    and the one above it bracket the root, which keeps an interior maximum even
-    where the likelihood also peaks at 0. `_root` closes the bracket to a few
-    ulps, so a last-bit change in the data does not move tau^2. Returns top if its
-    score is positive, and 0 if no grid point's is or the criterion at 0 is no worse."""
+    The score is scanned on the halving grid from top = max(10 var d, 10 max v, 1)
+    down to 1e-12 top, `_SCAN_ROWS` points to a numpy pass; each row sums its own
+    studies, so a score has the same bits in any pass and in `_root`, which closes
+    the bracket of the first positive point and the one above it to a few ulps. That
+    keeps an interior maximum even where the likelihood also peaks at 0. Returns top
+    if its score is positive, 0 if no grid point's is or the criterion at 0 is no worse."""
     if len(d) < 2:
         return 0.0
-    one = np.ones(len(d))
 
     def fit(tau2):  # tau2 a float, or a column with one value per row
         w = 1.0 / (v + tau2)
-        sw = w @ one
-        return w, sw, d - (w @ d / sw)[..., None]
+        sw = np.add.reduce(w, axis=-1)
+        return w, sw, d - (np.add.reduce(w * d, axis=-1) / sw)[..., None]
 
     def score(tau2):
         w, sw, e = fit(tau2)
-        return (w * e) ** 2 @ one - sw + (w * w) @ one / sw
+        return np.add.reduce((w * e) ** 2, axis=-1) - sw + np.add.reduce(w * w, axis=-1) / sw
 
     top = max(10.0 * sample_variance(d), 10.0 * float(np.maximum.reduce(v)), 1.0)
     grid, s = top * _HALVINGS, []  # s: the score down the grid
-    for i in range(0, 40, 8):
-        s += score(grid[i:i + 8, None]).tolist()
+    for i in range(0, len(grid), _SCAN_ROWS):
+        s += score(grid[i:i + _SCAN_ROWS, None]).tolist()
         if max(s[i:]) > 0.0:
             break
     else:
         return 0.0
     j = next(j for j, sj in enumerate(s) if sj > 0.0)
     tau2 = top if j == 0 else _root(score, float(grid[j]), s[j], float(grid[j - 1]), s[j - 1])
-    t = np.array([[0.0], [tau2]])
-    w, sw, e = fit(t)
-    crit = np.log(v + t) @ one + np.log(sw) + (w * e * e) @ one
+    w, sw, e = fit(t := np.array([[0.0], [tau2]]))
+    crit = np.add.reduce(np.log(v + t), axis=-1) + np.log(sw) + np.add.reduce(w * e * e, axis=-1)
     return 0.0 if crit[0] <= crit[1] else tau2
 
 
@@ -183,12 +182,12 @@ def _arrays(effects: list[EffectSize]) -> tuple[np.ndarray, np.ndarray, list[str
 
 
 def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], tau2: float, model: str) -> MetaResult:
-    q = _fit(d, 1.0 / v)[2]
+    q = (fixed := _fit(d, 1.0 / v))[2]
     q_df = len(d) - 1
     q_p = chisq_sf(q, q_df) if q_df > 0 else 1.0
     i2 = max(0.0, (q - q_df) / q * 100.0) if q_df > 0 and q > 0 else 0.0
     w = 1.0 / (v + tau2)
-    (pooled,), (se,), _, _ = _fit(d, w)
+    (pooled,), (se,), _, _ = fixed if tau2 == 0.0 else _fit(d, w)
     _, _, (ci_low, ci_high), p = _z_row(pooled, se)
     return MetaResult(pooled=pooled, se=se, ci_low=ci_low, ci_high=ci_high, p_value=p,
                       tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2, model=model,

@@ -234,10 +234,11 @@ def chisq_sf(x: float, df: float) -> float:
         lead = s * (u - math.log1p(u)) if u > -1.0 else math.inf  # u = -1: front < 1e-120
         front = math.exp(-lead - _stirling(s)) * math.sqrt(s / math.tau)
     series = x < s + 1.0
+    # either needs about 8 sqrt(s) steps near z = s; the cap at s = 1e10 allows 1e6 of them
+    steps = _MAX_ITER * 3 + int(10.0 * math.sqrt(min(s, 1e10)))
     if series:
-        ap, term = s, 1.0 / s
-        total = term
-        for _ in range(_MAX_ITER * 3):
+        ap, term, total = s, 1.0 / s, 1.0 / s
+        for _ in range(steps):
             ap += 1.0
             term *= x / ap
             total += term
@@ -246,7 +247,7 @@ def chisq_sf(x: float, df: float) -> float:
     else:
         b, c = x + 1.0 - s, 1.0 / _TINY
         h = d = 1.0 / b
-        for i in range(1, _MAX_ITER * 3):
+        for i in range(1, steps):
             an = -i * (i - s)
             b += 2.0
             d = an * d + b

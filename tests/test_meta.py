@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from replimeta import meta
 from replimeta.descriptives import AnalysisWarning
 from replimeta.effects import EffectSize
 from replimeta.meta import (_root, forest_model, meta_regression, pool_fixed, pool_random,
@@ -369,6 +370,35 @@ def test_reml_tau2_agrees_with_grid_search_on_seeded_sweep():
         if not math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-6):
             misses.append((case, got, want))
     assert misses == []
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 12, 13, 20, 59, 100, 500, 2000])
+def test_reml_tau2_does_not_depend_on_the_scan_pass_width(k, monkeypatch):
+    # each grid point's score sums its own row, so cutting the halving grid into
+    # passes of another width leaves every score, and so tau^2, bit for bit
+    rng = np.random.default_rng(26 + k)
+    moved = []
+    for case in range(28):
+        d = rng.normal(rng.normal(0.0, 0.5), rng.uniform(0.01, 1.5), size=k)
+        v = rng.uniform(0.005, 1.0, size=k) * rng.choice([0.1, 1.0])
+        tau2 = {}
+        for rows in (1, 3, 5, 8, 40):
+            monkeypatch.setattr(meta, "_SCAN_ROWS", rows)
+            tau2[rows] = meta._tau2_reml(d, v)
+        if len(set(tau2.values())) > 1:
+            moved.append((case, tau2))
+    assert moved == []
+
+
+def test_pool_fixed_heterogeneity_p_value_for_thirty_thousand_studies():
+    # d_i = +-sqrt(v_i) puts Q near its df of 29 999, where the chi-square tail
+    # takes about 8 sqrt(df / 2), some 980, steps
+    rng = np.random.default_rng(30000)
+    v = rng.uniform(0.02, 0.4, size=30000)
+    d = np.sqrt(v) * np.where(np.arange(30000) % 2, 1.0, -1.0)
+    res = pool_fixed([effect(f"S{i}", di, vi) for i, (di, vi) in enumerate(zip(d, v))])
+    assert res.q_df == 29999 and res.q == pytest.approx(30000.0, rel=1e-2)
+    assert res.q_p == pytest.approx(scipy_stats.chi2.sf(res.q, res.q_df), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("method", ["dl", "reml"])

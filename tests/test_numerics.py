@@ -460,6 +460,19 @@ def test_chisq_sf_against_mpmath_grid():
                                                                     abs=0.0), (ratio, df)
 
 
+@pytest.mark.parametrize("df", [3e4, 1e5, 1e6])
+def test_chisq_sf_near_the_mean_of_a_large_df_against_mpmath(df):
+    # near x = df either expansion needs about 8 sqrt(df / 2) steps: 5 300 at df 1e6
+    mpmath = pytest.importorskip("mpmath")
+    for ratio in (0.99, 1.0, 1.002, 1.01):
+        x = ratio * df
+        with mpmath.workdps(80):
+            a, z = mpmath.mpf(df) / 2, mpmath.mpf(x) / 2
+            front = mpmath.exp(a * mpmath.log(z) - z - mpmath.loggamma(a + 1))
+            expected = 1 - front * mpmath.hyp1f1(1, a + 1, z, maxterms=10**6)
+        assert nm.chisq_sf(x, df) == pytest.approx(float(expected), rel=1e-12, abs=0.0), ratio
+
+
 def test_chisq_sf_series_and_continued_fraction_agree_at_the_switch():
     # x/2 = s + 1 runs the continued fraction, the float just below it the series
     for df in np.logspace(math.log10(16.0), math.log10(2e4), 200).tolist():

@@ -27,6 +27,14 @@ def test_fisher_against_scipy(ps):
     assert res.warning == POOLING_WARNING
 
 
+def test_fisher_of_fifteen_thousand_p_values_at_the_mean_of_its_chi_square():
+    # the statistic equals its df, 30 000, where the tail needs about 950 steps
+    res = fisher_pool([math.exp(-1.0)] * 15000)
+    assert res.df == 30000 and res.statistic == pytest.approx(30000.0, rel=1e-12)
+    assert res.p_value == pytest.approx(scipy_stats.chi2.sf(res.statistic, 30000), rel=1e-12,
+                                        abs=0)
+
+
 @pytest.mark.parametrize("ps", [PS, TINY, [1e-20, 1e-30]])
 def test_stouffer_unweighted_against_scipy(ps):
     res = stouffer_pool(ps)
