@@ -2,10 +2,11 @@
 within-subjects designs, independent (Welch or pooled) t-tests otherwise.
 A test's SE is built from the same sample sds that the summaries report.
 
-The critical value and the tail come from ``_t_quantile`` and ``_t_sf``, bounded, typed
-memos of the pure ``numerics`` kernels: a replication's two-sided and one-sided tests
-share them, and paired replications of equal size share df. Each bound holds about one
-family's arguments; ``typed`` keeps numpy scalars from answering floats, and no error is kept."""
+The critical value and the one tail P(T > |t|) come from ``_t_quantile`` and ``_t_sf``,
+bounded, typed memos of the pure ``numerics`` kernels: a replication's two-sided p (twice
+the tail) and one-sided p (the tail, or 1 minus it for t < 0) share them, and paired
+replications of equal size share df. Each bound holds about one family's arguments;
+``typed`` keeps numpy scalars from answering floats, and no error is kept."""
 
 from __future__ import annotations
 
@@ -45,9 +46,9 @@ class TestResult:
 def _result(experiment_id, estimate, se, df, sidedness, alpha, n) -> TestResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    t = estimate / se
     half = _t_quantile(1.0 - alpha / 2.0, df) * se
-    p = _t_sf(t, df) if sidedness == ONE_SIDED_GREATER else 2.0 * _t_sf(abs(t), df)
+    upper = _t_sf(abs(t := estimate / se), df)
+    p = (upper if t >= 0.0 else 1.0 - upper) if sidedness == ONE_SIDED_GREATER else 2.0 * upper
     return TestResult(experiment_id, estimate, estimate - half, estimate + half,
                       max(p, _P_FLOOR), df, sidedness, n)
 

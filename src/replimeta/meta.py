@@ -2,16 +2,15 @@
 heterogeneity statistics, subgroup analysis, meta-regression, and the
 forest-plot data model.
 
-Every pool and the meta-regression are one weighted least-squares fit of d,
-on an intercept alone or on an intercept and a centred moderator (`_fit`).
-The random-effects default is the moment estimator of the between-study
-variance built on that fit (`_tau2_mm`): DerSimonian-Laird without a
-moderator, and the meta-regression's residual tau^2 with one. The
-restricted-maximum-likelihood (REML) estimator is also available and is the
-one subgroup pools use, where the moment estimator is known to understate
-heterogeneity for very small groups. It is the root of its score, bracketed
-by a vectorized scan and closed by one Illinois root finder (`_root`).
-Confidence intervals and p-values are z-based throughout.
+Every pool and the meta-regression fit d once with the inverse-variance weights
+w = 1 / v, on an intercept alone or on an intercept and a centred moderator (`_fit`).
+That fit gives Q, the result at tau^2 = 0 and the moment estimator of the between-study
+variance (`_tau2_mm`), the random-effects default: DerSimonian-Laird without a moderator,
+the meta-regression's residual tau^2 with one. Only a tau^2 > 0 fits again, with
+1 / (v + tau^2). The restricted-maximum-likelihood (REML) estimator is the other choice and
+the one subgroup pools use, as the moment one understates heterogeneity in very small
+groups. It is the root of its score, bracketed by a vectorized scan and closed by one
+Illinois root finder (`_root`). Confidence intervals and p-values are z-based throughout.
 """
 
 from __future__ import annotations
@@ -92,15 +91,13 @@ def _fit(d: np.ndarray, w: np.ndarray, x: np.ndarray | None = None
             float(np.add.reduce(w * r ** 2)), 1.0 / sw + xc ** 2 / s)
 
 
-def _tau2_mm(d: np.ndarray, v: np.ndarray, x: np.ndarray | None = None) -> float:
-    """Moment estimator of the (residual) between-study variance, truncated at
-    zero: (Q_E - df) / (sum w - sum w^2 h) from the fit with w = 1 / v. Without
-    x it is DerSimonian-Laird's; with x, the meta-regression one."""
-    df = len(d) - (1 if x is None else 2)
+def _tau2_mm(w: np.ndarray, fit: tuple, df: int) -> float:
+    """Moment estimator of the (residual) between-study variance, truncated at zero:
+    (Q_E - df) / (sum w - sum w^2 h), Q_E and h read from the caller's `_fit` with
+    w = 1 / v. Without a moderator it is DerSimonian-Laird's; with one, the residual one."""
     if df < 1:
         return 0.0
-    w = 1.0 / v
-    _, _, q, h = _fit(d, w, x)
+    _, _, q, h = fit
     c = float(np.add.reduce(w) - np.add.reduce(w * w * h))
     return max(0.0, (q - df) / c) if c > 0.0 else 0.0
 
@@ -181,14 +178,15 @@ def _arrays(effects: list[EffectSize]) -> tuple[np.ndarray, np.ndarray, list[str
             [e.experiment_id for e in effects])
 
 
-def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], tau2: float, model: str) -> MetaResult:
-    q = (fixed := _fit(d, 1.0 / v))[2]
+def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], model: str) -> MetaResult:
+    q = (fit := _fit(d, w := 1.0 / v))[2]
     q_df = len(d) - 1
     q_p = chisq_sf(q, q_df) if q_df > 0 else 1.0
     i2 = max(0.0, (q - q_df) / q * 100.0) if q_df > 0 and q > 0 else 0.0
-    w = 1.0 / (v + tau2)
-    (pooled,), (se,), _, _ = fixed if tau2 == 0.0 else _fit(d, w)
-    _, _, (ci_low, ci_high), p = _z_row(pooled, se)
+    tau2 = 0.0 if model == FIXED else _tau2_mm(w, fit, q_df) if model == RANDOM_DL else _tau2_reml(d, v)
+    if tau2 != 0.0:
+        fit = _fit(d, w := 1.0 / (v + tau2))
+    pooled, se, (ci_low, ci_high), p = _z_row(*fit[0], *fit[1])
     return MetaResult(pooled=pooled, se=se, ci_low=ci_low, ci_high=ci_high, p_value=p,
                       tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2, model=model,
                       weights=tuple((w / np.add.reduce(w)).tolist()), labels=tuple(labels))
@@ -196,10 +194,10 @@ def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], tau2: float, model: s
 
 def pool_fixed(effects: list[EffectSize]) -> MetaResult:
     """Inverse-variance fixed-effect pooling."""
-    return _pool(*_arrays(list(effects)), 0.0, FIXED)
+    return _pool(*_arrays(list(effects)), FIXED)
 
 
-_TAU2_ESTIMATORS = {"dl": (_tau2_mm, RANDOM_DL), "reml": (_tau2_reml, RANDOM_REML)}
+_TAU2_ESTIMATORS = {"dl": RANDOM_DL, "reml": RANDOM_REML}
 
 
 def pool_random(effects: list[EffectSize], tau2_method: str = "dl") -> MetaResult:
@@ -207,14 +205,14 @@ def pool_random(effects: list[EffectSize], tau2_method: str = "dl") -> MetaResul
     ("dl" or "reml")."""
     d, v, ids = _arrays(list(effects))
     try:
-        estimator, model = _TAU2_ESTIMATORS[tau2_method]
+        model = _TAU2_ESTIMATORS[tau2_method]
     except KeyError:
         raise ValueError(f"unknown tau^2 estimator {tau2_method!r}") from None
     if len(d) == 1:
         # both estimators return tau^2 = 0 for a single study
         warnings.warn("random-effects pool of a single study falls back to the "
                       "fixed-effect result with tau^2 = 0", AnalysisWarning)
-    return _pool(d, v, ids, estimator(d, v), model)
+    return _pool(d, v, ids, model)
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,7 @@ def subgroup_analysis(effects: list[EffectSize]) -> SubgroupResult:
         members.setdefault(e.subgroup_label, []).append(i)
     results = {}
     for label, idx in members.items():
-        gd, gv = d[idx], v[idx]
-        results[label] = _pool(gd, gv, [ids[i] for i in idx], _tau2_reml(gd, gv), RANDOM_REML)
+        results[label] = _pool(d[idx], v[idx], [ids[i] for i in idx], RANDOM_REML)
     difference = ci = p = None
     if len(results) == 2:
         a, b = results.values()
@@ -277,8 +274,8 @@ def meta_regression(effects: list[EffectSize]) -> MetaRegressionResult:
         raise ValueError("every effect size needs a moderator value")
     if x.max() == x.min():
         raise ValueError("moderator is constant across studies")
-    tau2 = _tau2_mm(d, v, x)
-    (b0, b1), (se0, se1), _, _ = _fit(d, 1.0 / (v + tau2), x)
+    tau2 = _tau2_mm(w := 1.0 / v, fit := _fit(d, w, x), len(d) - 2)
+    (b0, b1), (se0, se1), _, _ = fit if tau2 == 0.0 else _fit(d, 1.0 / (v + tau2), x)
     return MetaRegressionResult(*_z_row(b0, se0), *_z_row(b1, se1), tau2)
 
 

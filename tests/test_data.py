@@ -566,3 +566,14 @@ def test_parse_options_reject_equal_control_and_treatment_labels(labels):
         rd.ParseOptions(control_label=labels[0], treatment_label=labels[1])
     with pytest.raises(rd.DataError, match="labels must differ"):
         rd.ParseOptions(control_label=rd.TREATMENT)
+
+
+def test_replication_rejects_an_unknown_design():
+    obs = make_dataset().replication("E1").observations
+    with pytest.raises(rd.DataError, match="^unknown design 'sideways' for E1$"):
+        rd.Replication("E1", "sideways", obs)
+
+
+def test_replication_set_rejects_an_empty_set():
+    with pytest.raises(rd.DataError, match="^a replication set needs at least one replication$"):
+        rd.ReplicationSet(())

@@ -562,3 +562,9 @@ def test_sample_variance_rejects_a_sample_that_is_not_1d(values):
         with pytest.raises(ValueError) as raised:
             f(values)
         assert str(raised.value) == f"a sample must be 1-D, got shape {np.shape(values)}"
+
+
+def test_profile_series_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^E2: expected one value per category$"):
+        dsc.ProfileSeries("outcome", ("control", "treatment"),
+                          (("E1", (1.0, 2.0)), ("E2", (1.0,))))

@@ -265,3 +265,11 @@ def test_rows_whose_sds_are_zero_are_rejected_with_their_messages():
         repeated_measures_d(_row("within", sds=(0.0, 0.0)))
     with pytest.raises(ValueError, match="^E: pooled standard deviation is zero$"):
         between_subjects_d(_row("between", sds=(0.0, 0.0)))
+
+
+def test_each_d_builder_rejects_a_row_of_the_other_design():
+    between = SummaryRow("B1", 10, 12, 20.0, 5.0, 25.0, 6.0, None, "between")
+    with pytest.raises(ValueError, match="^B1: repeated-measures d requires a within-subjects row$"):
+        repeated_measures_d(between)
+    with pytest.raises(ValueError, match="^UPV: between-subjects d requires a between-subjects row$"):
+        between_subjects_d(ROW_UPV)

@@ -368,3 +368,26 @@ def test_each_memo_holds_about_one_ops_arguments():
     for memo in MEMOS:
         assert memo.cache_parameters() == {"maxsize": memo.cache_info().maxsize, "typed": True}
         assert 0 < memo.cache_info().maxsize <= 32
+
+
+def test_t_tests_reject_an_unknown_sidedness():
+    with pytest.raises(ValueError, match="^unknown sidedness 'sideways'$"):
+        paired_t_test(PairedSample("E1", (4.0, 1.0, 3.5, 2.0)), "sideways")
+    with pytest.raises(ValueError, match="^unknown sidedness 'sideways'$"):
+        independent_t_test([1.0, 2.0, 4.0], [3.0, 5.0, 6.0], sidedness="sideways")
+
+
+def test_one_sided_p_of_a_negative_t_is_the_complement_of_the_memoized_upper_tail():
+    sample = PairedSample("E1", (-4.0, -1.0, -3.5, -2.0, 0.5))
+    diffs = sample.differences
+    n = len(diffs)
+    t = individual.sample_mean(diffs) / (sample_sd(diffs) / math.sqrt(n))
+    assert t < 0.0
+    individual._t_sf.cache_clear()
+    two = paired_t_test(sample, TWO_SIDED)
+    before = individual._t_sf.cache_info()
+    one = paired_t_test(sample, ONE_SIDED_GREATER)
+    after = individual._t_sf.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)  # the two-sided tail
+    assert one.p_value.hex() == (1.0 - t_sf(abs(t), n - 1)).hex()
+    assert two.p_value.hex() == (2.0 * t_sf(abs(t), n - 1)).hex()

@@ -250,3 +250,10 @@ def test_loaded_rows_share_the_canonical_value_tuples_and_others_are_checked(tmp
         rd.CovariateRow("E1", "p1", "student", (True, 2, 2, 1))  # equal to a canonical tuple
     with pytest.raises(rd.DataError, match=re.escape("unknown subject_type 'x' (E1/p1)")):
         rd.CovariateRow("E1", "p1", "x", first.values)
+
+
+@pytest.mark.parametrize("kind", ["raw", "summary", "covariates"])
+def test_a_header_without_rows_is_rejected(tmp_path, kind):
+    path = write(tmp_path, HEADERS[kind])
+    with pytest.raises(rd.DataError, match=f"^{re.escape(f'{path}: no data rows')}$"):
+        load(kind, path)

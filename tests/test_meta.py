@@ -520,3 +520,58 @@ def test_aggregated_data_paths_use_memory_linear_in_k(many_effects, call):
     finally:
         tracemalloc.stop()
     assert peak < 100 * 8 * k
+
+
+@pytest.mark.parametrize("call", [
+    pool_fixed,
+    pool_random,
+    lambda effects: pool_random(effects, "reml"),
+    subgroup_analysis,
+    lambda effects: forest_model(effects, pool_fixed([effect("A", 0.1, 0.1)])),
+], ids=["pool_fixed", "pool_random_dl", "pool_random_reml", "subgroup_analysis", "forest_model"])
+def test_an_empty_set_of_effects_is_rejected(call):
+    with pytest.raises(ValueError, match="^cannot pool an empty set of effect sizes$"):
+        call([])
+
+
+def test_subgroup_analysis_needs_every_label():
+    effects = [effect("A", 0.1, 0.1, group="student"), effect("B", 0.2, 0.1)]
+    with pytest.raises(ValueError, match="^B: missing subgroup label$"):
+        subgroup_analysis(effects)
+
+
+def test_meta_regression_needs_three_effects():
+    with pytest.raises(ValueError, match="^meta-regression needs at least 3 effect sizes$"):
+        meta_regression([effect("A", 0.1, 0.1, 1.0), effect("B", 0.2, 0.1, 2.0)])
+
+
+# six studies, two subject types of three; every estimator finds tau^2 > 0 in the first
+# family and tau^2 = 0 in the second
+FIT_FAMILIES = {
+    "heterogeneous": [effect(f"S{i}", d, v, x, "AB"[i % 2]) for i, (d, v, x) in enumerate(zip(
+        (0.0, 1.5, 3.0, -1.0, 2.0, 0.5), (0.05, 0.08, 0.04, 0.06, 0.05, 0.07), range(1, 7)))],
+    "homogeneous": [effect(f"S{i}", d, v, x, "AB"[i % 2]) for i, (d, v, x) in enumerate(zip(
+        (0.30, 0.32, 0.29, 0.31, 0.30, 0.31), (0.05, 0.08, 0.04, 0.06, 0.05, 0.07), range(1, 7)))],
+}
+
+
+@pytest.mark.parametrize("family", FIT_FAMILIES)
+def test_each_pool_fits_the_inverse_variance_weights_once(family, monkeypatch):
+    # one fit with w = 1 / v serves Q, the moment tau^2 and the tau^2 = 0 result;
+    # only a tau^2 > 0 fits again
+    effects, heterogeneous = FIT_FAMILIES[family], family == "heterogeneous"
+    calls, fit = [], meta._fit
+    monkeypatch.setattr(meta, "_fit", lambda *args: calls.append(args) or fit(*args))
+
+    def fits(call):
+        calls.clear()
+        return call(effects), len(calls)
+
+    assert fits(pool_fixed)[1] == 1
+    for call in (pool_random, lambda e: pool_random(e, "reml"), meta_regression):
+        result, n = fits(call)
+        assert (result.tau2 > 0.0) == heterogeneous
+        assert n == (2 if heterogeneous else 1)
+    result, n = fits(subgroup_analysis)
+    assert all((group.tau2 > 0.0) == heterogeneous for group in result.groups.values())
+    assert n == len(result.groups) * (2 if heterogeneous else 1)
