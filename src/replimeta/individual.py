@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .data import PairedSample
-from .descriptives import sample_mean, sample_sd
+from .descriptives import sample_mean, scaled_variance
 from .numerics import t_quantile, t_sf
 
 __all__ = ["TestResult", "independent_t_test", "paired_t_test", "TWO_SIDED", "ONE_SIDED_GREATER"]
@@ -23,6 +23,7 @@ __all__ = ["TestResult", "independent_t_test", "paired_t_test", "TWO_SIDED", "ON
 TWO_SIDED = "two_sided"
 ONE_SIDED_GREATER = "one_sided_greater"
 _P_FLOOR = 1e-300
+_SE_MIN = 2.0 ** -1022  # a subnormal SE has lost its digits
 _t_quantile = lru_cache(maxsize=32, typed=True)(t_quantile)
 _t_sf = lru_cache(maxsize=16, typed=True)(t_sf)
 
@@ -62,12 +63,13 @@ def paired_t_test(sample: PairedSample, sidedness: str = TWO_SIDED,
     """
     where = f"{sample.experiment_id}: " if sample.experiment_id else ""
     diffs = sample.differences
-    sd, n = sample_sd(diffs), len(diffs)
+    v, scale = scaled_variance(diffs)  # the sd is sqrt(v) scale, as sample_sd's
+    sd, n = math.sqrt(v) * scale, len(diffs)
     if not math.isfinite(sd * sd):  # NaN or inf among the values, or past float range
         raise ValueError(f"{where}differences and their variance must be finite")
-    if sd == 0.0:
+    if v == 0.0:  # not sd, which a subnormal scale rounds to 0
         raise ValueError(f"{where}differences have zero variance")
-    if (se := sd / math.sqrt(n)) == 0.0:  # a subnormal sd
+    if (se := sd / math.sqrt(n)) < _SE_MIN:
         raise ValueError(f"{where}the standard error underflows to 0")
     return _result(sample.experiment_id, sample_mean(diffs), se, n - 1, sidedness, alpha, n)
 
@@ -84,17 +86,18 @@ def independent_t_test(control: list[float], treatment: list[float],
     n_c, n_t = len(control), len(treatment)
     if n_c < 2 or n_t < 2:
         raise ValueError(f"{where}each arm needs at least 2 observations")
-    sd_c, sd_t = sample_sd(control), sample_sd(treatment)
+    (v_c, scale_c), (v_t, scale_t) = scaled_variance(control), scaled_variance(treatment)
+    sd_c, sd_t = math.sqrt(v_c) * scale_c, math.sqrt(v_t) * scale_t
     if not math.isfinite(sd_c * sd_c + sd_t * sd_t):  # as paired_t_test
         raise ValueError(f"{where}sample values and their variances must be finite")
-    if sd_c == 0.0 and sd_t == 0.0:
+    if v_c == 0.0 and v_t == 0.0:
         raise ValueError(f"{where}both arms have zero variance")
     estimate = sample_mean(treatment) - sample_mean(control)
     u_c, u_t = sd_c / math.sqrt(n_c), sd_t / math.sqrt(n_t)
     se = (math.hypot(u_c, u_t) if welch else
           math.hypot(math.sqrt(n_c - 1) * sd_c, math.sqrt(n_t - 1) * sd_t)
           * math.sqrt((1.0 / n_c + 1.0 / n_t) / (n_c + n_t - 2)))
-    if se == 0.0:  # as paired_t_test
+    if se < _SE_MIN:  # as paired_t_test
         raise ValueError(f"{where}the standard error underflows to 0")
     df = n_c + n_t - 2
     if welch:

@@ -2,15 +2,17 @@
 heterogeneity statistics, subgroup analysis, meta-regression, and the
 forest-plot data model.
 
-Every pool and the meta-regression fit d once with the inverse-variance weights
-w = 1 / v, on an intercept alone or on an intercept and a centred moderator (`_fit`).
-That fit gives Q, the result at tau^2 = 0 and the moment estimator of the between-study
-variance (`_tau2_mm`), the random-effects default: DerSimonian-Laird without a moderator,
-the meta-regression's residual tau^2 with one. Only a tau^2 > 0 fits again, with
-1 / (v + tau^2). The restricted-maximum-likelihood (REML) estimator is the other choice and
-the one subgroup pools use, as the moment one understates heterogeneity in very small
-groups. It is the root of its score, bracketed by a vectorized scan and closed by one
-Illinois root finder (`_root`). Confidence intervals and p-values are z-based throughout.
+Every pool is one call to `pool` on plain arrays of estimates and variances, which
+`pool_fixed`, `pool_random` and `subgroup_analysis` take from `EffectSize`s. It and the
+meta-regression fit d once with the inverse-variance weights w = 1 / v, on an intercept
+alone or on an intercept and a centred moderator (`_fit`). That fit gives Q, the result at
+tau^2 = 0 and the moment estimator of the between-study variance (`_tau2_mm`), the
+random-effects default: DerSimonian-Laird without a moderator, the meta-regression's
+residual tau^2 with one. Only a tau^2 > 0 fits again, with 1 / (v + tau^2). The
+restricted-maximum-likelihood (REML) estimator is the other choice and the one subgroup
+pools use, as the moment one understates heterogeneity in very small groups. It is the root
+of its score, bracketed by a vectorized scan and closed by one Illinois root finder
+(`_root`). Confidence intervals and p-values are z-based throughout.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ __all__ = [
     "SubgroupResult",
     "forest_model",
     "meta_regression",
+    "pool",
     "pool_fixed",
     "pool_random",
     "subgroup_analysis",
 ]
 
-FIXED = "fixed"
-RANDOM_DL = "random_dl"
-RANDOM_REML = "random_reml"
 _Z975 = normal_quantile(0.975)
 _HALVINGS = np.array([0.5 ** j for j in range(40)])  # REML's grid: 2^-39 > 1e-12 > 2^-40
 _SCAN_ROWS = 8  # grid points to a numpy pass of the REML scan
@@ -57,7 +57,7 @@ class MetaResult:
     q_df: int
     q_p: float
     i2: float  # percent in [0, 100)
-    model: str
+    model: str  # "fixed", "random_dl" or "random_reml"
     weights: tuple[float, ...]  # normalized, same order as the input effects
     labels: tuple[str, ...]
 
@@ -178,41 +178,55 @@ def _arrays(effects: list[EffectSize]) -> tuple[np.ndarray, np.ndarray, list[str
             [e.experiment_id for e in effects])
 
 
-def _pool(d: np.ndarray, v: np.ndarray, labels: list[str], model: str) -> MetaResult:
+def pool(estimates, variances, method: str = "dl", labels=None) -> MetaResult:
+    """Inverse-variance pool of 1-D arrays of estimates and their sampling variances:
+    fixed effect ("fixed"), or random effects with a DerSimonian-Laird ("dl") or REML
+    ("reml") tau^2. Labels default to "1" ... "k"; one estimate pools with tau^2 = 0."""
+    if method not in ("fixed", "dl", "reml"):
+        raise ValueError(f"unknown pooling method {method!r}")
+    d, v = np.asarray(estimates, dtype=np.float64), np.asarray(variances, dtype=np.float64)
+    if d.ndim != 1 or v.shape != d.shape:
+        raise ValueError(f"estimates and variances need one 1-D shape, got {d.shape} and {v.shape}")
+    if d.size == 0:
+        raise ValueError("cannot pool an empty set of estimates")
+    if not np.isfinite(d).all():
+        raise ValueError("estimates must be finite")
+    if not (np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < math.inf):  # NaN fails both
+        raise ValueError("variances must be positive and finite")
+    labels = tuple(map(str, range(1, d.size + 1))) if labels is None else tuple(labels)
+    if len(labels) != d.size:
+        raise ValueError(f"expected {d.size} labels, got {len(labels)}")
     q = (fit := _fit(d, w := 1.0 / v))[2]
-    q_df = len(d) - 1
+    q_df = d.size - 1
     q_p = chisq_sf(q, q_df) if q_df > 0 else 1.0
     i2 = max(0.0, (q - q_df) / q * 100.0) if q_df > 0 and q > 0 else 0.0
-    tau2 = 0.0 if model == FIXED else _tau2_mm(w, fit, q_df) if model == RANDOM_DL else _tau2_reml(d, v)
+    tau2 = 0.0 if method == "fixed" else _tau2_mm(w, fit, q_df) if method == "dl" else _tau2_reml(d, v)
     if tau2 != 0.0:
         fit = _fit(d, w := 1.0 / (v + tau2))
     pooled, se, (ci_low, ci_high), p = _z_row(*fit[0], *fit[1])
     return MetaResult(pooled=pooled, se=se, ci_low=ci_low, ci_high=ci_high, p_value=p,
-                      tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2, model=model,
-                      weights=tuple((w / np.add.reduce(w)).tolist()), labels=tuple(labels))
+                      tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2,
+                      model=method if method == "fixed" else f"random_{method}",
+                      weights=tuple((w / np.add.reduce(w)).tolist()), labels=labels)
 
 
 def pool_fixed(effects: list[EffectSize]) -> MetaResult:
     """Inverse-variance fixed-effect pooling."""
-    return _pool(*_arrays(list(effects)), FIXED)
-
-
-_TAU2_ESTIMATORS = {"dl": RANDOM_DL, "reml": RANDOM_REML}
+    d, v, ids = _arrays(list(effects))
+    return pool(d, v, "fixed", ids)
 
 
 def pool_random(effects: list[EffectSize], tau2_method: str = "dl") -> MetaResult:
     """Random-effects pooling with the chosen between-study variance estimator
     ("dl" or "reml")."""
     d, v, ids = _arrays(list(effects))
-    try:
-        model = _TAU2_ESTIMATORS[tau2_method]
-    except KeyError:
-        raise ValueError(f"unknown tau^2 estimator {tau2_method!r}") from None
+    if tau2_method not in ("dl", "reml"):
+        raise ValueError(f"unknown tau^2 estimator {tau2_method!r}")
     if len(d) == 1:
         # both estimators return tau^2 = 0 for a single study
         warnings.warn("random-effects pool of a single study falls back to the "
                       "fixed-effect result with tau^2 = 0", AnalysisWarning)
-    return _pool(d, v, ids, model)
+    return pool(d, v, tau2_method, ids)
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,7 @@ def subgroup_analysis(effects: list[EffectSize]) -> SubgroupResult:
         members.setdefault(e.subgroup_label, []).append(i)
     results = {}
     for label, idx in members.items():
-        results[label] = _pool(d[idx], v[idx], [ids[i] for i in idx], RANDOM_REML)
+        results[label] = pool(d[idx], v[idx], "reml", [ids[i] for i in idx])
     difference = ci = p = None
     if len(results) == 2:
         a, b = results.values()

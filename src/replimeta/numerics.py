@@ -225,6 +225,8 @@ def chisq_sf(x: float, df: float) -> float:
     if not x >= 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x!r}")
     s, x = 0.5 * df, 0.5 * x
+    if s == 0.0:  # df = 2^-1074, the least double
+        raise ValueError(f"degrees of freedom halve to 0, got {df!r}")
     if x == 0.0 or x == math.inf:
         return 1.0 if x == 0.0 else 0.0
     if s < 8.0:
@@ -245,8 +247,8 @@ def chisq_sf(x: float, df: float) -> float:
             if abs(term) < abs(total) * _EPS:
                 return 1.0 - total * front
     else:
-        b, c = x + 1.0 - s, 1.0 / _TINY
-        h = d = 1.0 / b
+        b, c = x + 1.0 - s, 1.0 / _TINY  # b rounds to 0 at z = s from s = 2^53 on
+        h = d = 1.0 / max(b, _TINY)
         for i in range(1, steps):
             an = -i * (i - s)
             b += 2.0

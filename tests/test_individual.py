@@ -323,6 +323,21 @@ def test_paired_t_test_of_differences_whose_se_underflows_is_rejected():
         paired_t_test(PairedSample("", differences))
 
 
+def test_independent_t_test_of_arms_whose_se_is_subnormal_is_rejected():
+    # the control sd rounds to 0 and the treatment sd is 1e-323, so the SE keeps about
+    # one bit: unchecked, the Welch df read 2.0 for 2.030 and p 0.1835 for 0.1816
+    with pytest.raises(ValueError, match="^E3: the standard error underflows to 0$"):
+        independent_t_test([0.0] * 9 + [5e-324], [0.0, 1e-323, 2e-323], experiment_id="E3")
+
+
+def test_paired_t_test_of_varying_differences_whose_sd_rounds_to_0_is_not_constant():
+    # the variance of the scaled differences is 0.1; its sd, 0.32 x 2^-1074, rounds to 0
+    differences = (0.0,) * 9 + (5e-324,)
+    assert scaled_variance(differences)[0] > 0.0 and sample_sd(differences) == 0.0
+    with pytest.raises(ValueError, match="^E: the standard error underflows to 0$"):
+        paired_t_test(PairedSample("E", differences))
+
+
 # ---------------------------------------------------------------------------
 # the t-kernel memos
 # ---------------------------------------------------------------------------

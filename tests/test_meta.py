@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from replimeta import meta
 from replimeta.descriptives import AnalysisWarning
 from replimeta.effects import EffectSize
-from replimeta.meta import (_root, forest_model, meta_regression, pool_fixed, pool_random,
+from replimeta.meta import (_root, forest_model, meta_regression, pool, pool_fixed, pool_random,
                             subgroup_analysis)
 from replimeta.numerics import normal_quantile
 
@@ -184,6 +184,64 @@ def reml_case(seed):
     rng = np.random.default_rng(seed)
     k = 2 + seed % 14
     return rng.normal(0.5, rng.uniform(0.05, 1.0), size=k), rng.uniform(0.02, 0.4, size=k)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pool_of_arrays_is_the_pool_of_their_effect_sizes_bit_for_bit(seed):
+    d, v = reml_case(seed)
+    effects = [effect(f"S{i}", di, vi) for i, (di, vi) in enumerate(zip(d, v))]
+    ids = [e.experiment_id for e in effects]
+    assert pool(d, v, "fixed", ids) == pool_fixed(effects)
+    for method in ("dl", "reml"):
+        assert pool(d, v, method, ids) == pool_random(effects, method)
+
+
+def test_pool_closed_form_on_arrays_with_default_labels():
+    # the hand case of test_dl_pool_closed_form: w = 2, 4, 4, mu = 1.6, se = 1 / sqrt(10),
+    # Q = 14.4 on 2 df, tau^2 = 12.4 / 6.4 = 1.9375
+    d, v = np.array([0.0, 1.0, 3.0]), [0.5, 0.25, 0.25]
+    fixed, z975 = pool(d, v, "fixed"), scipy_stats.norm.ppf(0.975)
+    assert (fixed.model, fixed.labels, fixed.tau2, fixed.q_df) == ("fixed", ("1", "2", "3"), 0.0, 2)
+    assert fixed.pooled == pytest.approx(1.6, rel=1e-15)
+    assert fixed.se == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-15)
+    assert (fixed.ci_low, fixed.ci_high) == pytest.approx(
+        (1.6 - z975 / math.sqrt(10.0), 1.6 + z975 / math.sqrt(10.0)), rel=1e-12)
+    assert fixed.p_value == pytest.approx(2.0 * scipy_stats.norm.sf(1.6 * math.sqrt(10.0)),
+                                          rel=1e-12, abs=0)
+    assert fixed.weights == pytest.approx((0.2, 0.4, 0.4), rel=1e-15)
+    assert fixed.q == pytest.approx(14.4, rel=1e-14)
+    assert fixed.q_p == pytest.approx(math.exp(-7.2), rel=1e-12)
+    assert fixed.i2 == pytest.approx(100.0 * 12.4 / 14.4, rel=1e-12)
+    dl = pool(d, v)  # DerSimonian-Laird is the default
+    w = [1.0 / (0.5 + 1.9375), 1.0 / (0.25 + 1.9375), 1.0 / (0.25 + 1.9375)]
+    assert (dl.model, dl.labels) == ("random_dl", ("1", "2", "3"))
+    assert (dl.q, dl.q_df, dl.q_p, dl.i2) == (fixed.q, fixed.q_df, fixed.q_p, fixed.i2)
+    assert dl.tau2 == pytest.approx(1.9375, rel=1e-12)
+    assert dl.pooled == pytest.approx((w[1] * 1.0 + w[2] * 3.0) / sum(w), rel=1e-12)
+    assert dl.se == pytest.approx(1.0 / math.sqrt(sum(w)), rel=1e-12)
+    assert dl.weights == pytest.approx(tuple(x / sum(w) for x in w), rel=1e-12)
+
+
+@pytest.mark.parametrize("args, message", [
+    (([0.1, 0.2], [0.1, 0.1], "random_dl"), "unknown pooling method 'random_dl'"),
+    (([], [], "fixed"), "cannot pool an empty set of estimates"),
+    (([[0.1, 0.2]], [[0.1, 0.1]], "dl"),
+     r"estimates and variances need one 1-D shape, got \(1, 2\) and \(1, 2\)"),
+    (([0.1, 0.2], [0.1], "dl"), r"estimates and variances need one 1-D shape, got \(2,\) and \(1,\)"),
+    (([0.1, math.nan], [0.1, 0.1], "dl"), "estimates must be finite"),
+    (([0.1, -math.inf], [0.1, 0.1], "reml"), "estimates must be finite"),
+    (([0.1, 0.2], [0.1, 0.0], "fixed"), "variances must be positive and finite"),
+    (([0.1, 0.2], [-0.1, 0.1], "dl"), "variances must be positive and finite"),
+    (([0.1, 0.2], [0.1, math.inf], "reml"), "variances must be positive and finite"),
+    (([0.1, 0.2], [math.nan, 0.1], "dl"), "variances must be positive and finite"),
+    (([0.1, 0.2], [0.1, 0.1], "dl", ["A"]), "expected 2 labels, got 1"),
+    (([0.1, 0.2], [0.1, 0.1], "fixed", ["A", "B", "C"]), "expected 2 labels, got 3"),
+], ids=["method", "empty", "2-D", "unequal lengths", "NaN estimate", "inf estimate",
+        "zero variance", "negative variance", "inf variance", "NaN variance",
+        "one label short", "one label over"])
+def test_pool_rejects_bad_arrays_by_name(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pool(*args)
 
 
 def reml_tau2(d, v):
@@ -507,8 +565,9 @@ def many_effects():
     subgroup_analysis,
     meta_regression,
     lambda effects: forest_model(effects, pool_fixed(effects)),
+    lambda effects: pool([e.d for e in effects], [e.variance for e in effects], "reml"),
 ], ids=["pool_fixed", "pool_random_dl", "pool_random_reml", "subgroup_analysis",
-        "meta_regression", "forest_model"])
+        "meta_regression", "forest_model", "pool_reml"])
 def test_aggregated_data_paths_use_memory_linear_in_k(many_effects, call):
     # the results themselves hold up to about 30 doubles per study; one k x k
     # array would hold k of them

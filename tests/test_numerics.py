@@ -397,6 +397,19 @@ def test_chisq_sf_of_an_infinite_statistic_is_zero_and_of_nan_an_error():
             nm.chisq_sf(math.nan, df)
 
 
+def test_chisq_sf_of_the_least_df_names_it():
+    # df / 2 rounds to 0 at df = 2^-1074, where lgamma(0) would raise a bare domain error
+    with pytest.raises(ValueError, match=r"^degrees of freedom halve to 0, got 5e-324$"):
+        nm.chisq_sf(3.0, 5e-324)
+
+
+def test_chisq_sf_at_an_absurd_df_raises_its_own_error():
+    # from s = 2^53 on, the fraction's first denominator z + 1 - s rounds to 0 at z = s;
+    # guarded, the fraction runs out of steps instead of dividing by 0
+    with pytest.raises(ArithmeticError, match="^incomplete gamma continued fraction failed"):
+        nm.chisq_sf(1e300, 1e300)
+
+
 # ---------------------------------------------------------------------------
 # the normal limit at huge df
 # ---------------------------------------------------------------------------
