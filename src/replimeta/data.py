@@ -293,22 +293,28 @@ def _read_rows(path: Path, expected: tuple[str, ...]) -> Iterator:
     no tuple is built per row), then the cells of each data row of a CSV file whose
     header names each expected column once, in any order, in the order of ``expected``.
     Blank lines are skipped; a row with too few or too many fields is rejected. A UTF-8
-    byte-order mark, as spreadsheet exports write, is dropped."""
+    byte-order mark, as spreadsheet exports write, is dropped. Text that is not UTF-8
+    is rejected without a line, as the decoder reads ahead of the csv reader."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        names = tuple(next(reader, ()))
-        if len(names) != len(expected) or set(names) != set(expected):
-            raise DataError(f"{path}: header {names!r} does not match expected columns {expected!r}")
-        yield reader
-        width = len(names)
-        reorder = None if names == expected else itemgetter(*map(names.index, expected))
-        for cells in reader:
-            if len(cells) != width:
-                if not cells:
-                    continue
-                raise DataError(f"{path}:{reader.line_num}: malformed row (expected "
-                                f"{width} fields, got {len(cells)})")
-            yield cells if reorder is None else reorder(cells)
+        try:
+            names = tuple(next(reader, ()))
+            if len(names) != len(expected) or set(names) != set(expected):
+                raise DataError(f"{path}: header {names!r} does not match expected columns {expected!r}")
+            yield reader
+            width = len(names)
+            reorder = None if names == expected else itemgetter(*map(names.index, expected))
+            for cells in reader:
+                if len(cells) != width:
+                    if not cells:
+                        continue
+                    raise DataError(f"{path}:{reader.line_num}: malformed row (expected "
+                                    f"{width} fields, got {len(cells)})")
+                yield cells if reorder is None else reorder(cells)
+        except csv.Error as err:  # a cell past the field limit, or a NUL before Python 3.11
+            raise DataError(f"{path}:{reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def _row_error(where: str, numbers: Iterable[tuple[str, str]], err: Exception) -> DataError:

@@ -191,8 +191,13 @@ def pool(estimates, variances, method: str = "dl", labels=None) -> MetaResult:
         raise ValueError("cannot pool an empty set of estimates")
     if not np.isfinite(d).all():
         raise ValueError("estimates must be finite")
-    if not (np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < math.inf):  # NaN fails both
+    v_min, v_max = float(np.minimum.reduce(v)), float(np.maximum.reduce(v))
+    if not (v_min > 0.0 and v_max < math.inf):  # NaN fails both
         raise ValueError("variances must be positive and finite")
+    # below 2^511 the weights, their squares, w (d - mu)^2 summed and REML's grid stay finite
+    if 2.0 * math.sqrt(d.size) * max(1.0, float(np.maximum.reduce(np.abs(d)))) * max(
+            1.0, 1.0 / v_min, v_max) >= 2.0 ** 511:
+        raise ValueError("estimates and variances lie too far from unit scale to pool")
     labels = tuple(map(str, range(1, d.size + 1))) if labels is None else tuple(labels)
     if len(labels) != d.size:
         raise ValueError(f"expected {d.size} labels, got {len(labels)}")

@@ -15,6 +15,18 @@ import replimeta
 
 MODULES = [importlib.import_module(f"replimeta.{info.name}")
            for info in pkgutil.iter_modules(replimeta.__path__)]
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_source_and_test_file_parses_at_the_python_floor():
+    # the floor is requires-python, read without tomllib, which Python 3.10 lacks
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(),
+                      re.MULTILINE)
+    files = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert floor and len(files) >= 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(int(floor[1]), int(floor[2])))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

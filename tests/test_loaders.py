@@ -9,6 +9,8 @@ objects a valid file loads to.
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replimeta import data as rd
 
@@ -94,6 +96,13 @@ ROW_ERRORS = [
     ("covariates", "E1, ,student,3,2,2,1", "empty experiment or participant id"),
     ("covariates", "E1,p2,student,3,2,2", "malformed row (expected 7 fields, got 6)"),
     ("covariates", "E1,p2,student,3,2,2,1,1", "malformed row (expected 7 fields, got 8)"),
+    # a cell past the csv module's field limit, which the reader rejects on its own
+    pytest.param("raw", "E1,p3,control," + "9" * 131073, "field larger than field limit (131072)",
+                 id="raw-field-limit"),
+    pytest.param("summary", "E2," + "5" * 131073 + ",5,1,1,2,1,0.5,within",
+                 "field larger than field limit (131072)", id="summary-field-limit"),
+    pytest.param("covariates", "E1,p2," + "s" * 131073 + ",3,2,2,1",
+                 "field larger than field limit (131072)", id="covariates-field-limit"),
 ]
 
 
@@ -112,6 +121,24 @@ def test_the_earlier_of_two_faulty_lines_is_named(tmp_path, kind, row, message):
              "covariates": "E1,p2,student,3,2,2,7"}[kind]
     path = write(tmp_path, HEADERS[kind] + first + "\n" + row + "\n\n" + later + "\n")
     with pytest.raises(rd.DataError, match=f"^{re.escape(str(path))}:3: "):
+        load(kind, path)
+
+
+@pytest.mark.parametrize("kind", ["raw", "summary", "covariates"])
+@pytest.mark.parametrize("where, reason", [
+    ("header", "invalid start byte"),
+    ("row", "invalid start byte"),
+    ("end", "unexpected end of data"),
+])
+def test_a_file_that_is_not_utf8_is_rejected_without_a_line(tmp_path, kind, where, reason):
+    # the decoder reads ahead in 8 KiB chunks, so no line can be named; the end case puts
+    # a cut two-byte character after 9 000 blank lines
+    header, good = HEADERS[kind].encode(), GOOD[kind].encode()
+    content = {"header": b"\xff" + header + good, "row": header + good.replace(b"1", b"1\xff", 1),
+               "end": header + good + b"\n" * 9000 + b"\xc3"}[where]
+    path = tmp_path / "f.csv"
+    path.write_bytes(content)
+    with pytest.raises(rd.DataError, match=f"^{re.escape(f'{path}: not UTF-8 text ({reason})')}$"):
         load(kind, path)
 
 
@@ -257,3 +284,66 @@ def test_a_header_without_rows_is_rejected(tmp_path, kind):
     path = write(tmp_path, HEADERS[kind])
     with pytest.raises(rd.DataError, match=f"^{re.escape(f'{path}: no data rows')}$"):
         load(kind, path)
+
+
+# ---------------------------------------------------------------------------
+# the boundary as a property: any file loads or raises a DataError naming it
+# ---------------------------------------------------------------------------
+
+COLUMNS = {"raw": rd.RAW_COLUMNS, "summary": rd.SUMMARY_COLUMNS, "covariates": rd.COVARIATE_COLUMNS}
+ROWS = {  # valid rows in the order of COLUMNS, which the fuzz below spoils
+    "raw": [["E1", "p1", "control", "10"], ["E1", "p1", "treatment", "20"], ["E1", "p2", "control", "12"],
+            ["E1", "p2", "treatment", " 1.8e1 "], ["E1", "p3", "control", ""]],
+    "summary": [["E1", "5", "5", "1.5", "1.25", "2.5", "1.75", "0.5", "within"],
+                ["E2", "12.0", "9", "-2", "0", "1e300", "3", "", "between"],
+                ["E3", "2", "2", "0", "1", "0", "1", "", "within"]],
+    "covariates": [["E1", "p1", "professional", "3", "2", "2", "1"],
+                   ["E1", "p2", "student", " 4 ", "1", "2.0", "4"]],
+}
+JUNK = (st.sampled_from(["", " ", "x", "nan", "-inf", "1e999", "2.5", "0", "5", "p9", "E1", "banana"])
+        | st.text(st.sampled_from('0123456789.,-+e" \x00\r\n\ufeffé'), max_size=8))
+STRAY_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x00"])
+
+
+@st.composite
+def csv_files(draw):
+    """A valid file of one kind, with its header in canonical or permuted order, spoilt by up
+    to four faults: a junk cell (quotes, NULs and line breaks included), a missing or extra
+    field, a blank line, or bytes that are not UTF-8."""
+    kind = draw(st.sampled_from(sorted(COLUMNS)))
+    order = draw(st.just(range(len(COLUMNS[kind]))) | st.permutations(range(len(COLUMNS[kind]))))
+    rows = [[row[i] for i in order] for row in ROWS[kind][:draw(st.integers(0, len(ROWS[kind])))]]
+    stray = []
+    for fault in draw(st.lists(st.sampled_from(["cell", "short", "long", "blank", "bytes"]), max_size=4)):
+        at = draw(st.integers(0, len(rows)))
+        if fault == "blank":
+            rows.insert(at, [])
+        elif fault == "bytes":
+            stray.append(draw(STRAY_BYTES))
+        elif at < len(rows) and rows[at]:
+            if fault == "cell":
+                rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(JUNK)
+            else:
+                rows[at] = rows[at][:-1] if fault == "short" else rows[at] + [draw(JUNK)]
+    content = bytearray("\n".join(",".join(cells) for cells in [[COLUMNS[kind][i] for i in order], *rows])
+                        .encode())
+    for junk in stray:
+        content[draw(st.integers(0, len(content))):0] = junk
+    return kind, bytes(content)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(case=csv_files())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_any_file_loads_or_raises_a_data_error_that_names_it(fuzz_dir, case):
+    kind, content = case
+    path = fuzz_dir / f"{kind}.csv"
+    path.write_bytes(content)
+    try:
+        load(kind, path)
+    except rd.DataError as err:
+        assert str(err).startswith(f"{path}:"), str(err)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -242,6 +243,40 @@ def test_pool_closed_form_on_arrays_with_default_labels():
 def test_pool_rejects_bad_arrays_by_name(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         pool(*args)
+
+
+@pytest.mark.parametrize("args", [
+    ([0.1, 0.2], [0.1, 1e-320], "dl"),  # 1 / v overflows
+    ([0.1] * 4, [1e-308] * 4, "dl"),  # the sum of the weights overflows
+    ([0.1, 0.2], [0.1, 1e-300], "dl"),  # the square of a weight overflows
+    ([0.1, 0.5], [1e308, 1e308], "reml"),  # REML's grid top, 10 max v, overflows
+    ([1e160, -1e160], [1.0, 1.0], "fixed"),  # (d - mu)^2 overflows
+], ids=["subnormal variance", "tiny variances", "squared weight", "REML grid top", "huge estimates"])
+def test_pool_rejects_inputs_past_the_float_range_by_name(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^estimates and variances lie too far from unit scale to pool$"):
+            pool(*args)
+
+
+@pytest.mark.parametrize("method", ["fixed", "dl", "reml"])
+def test_pool_at_every_scale_pools_finitely_or_names_the_scale(method):
+    # three studies, estimates from 1e-300 to 1e300 and variances from 1e-320 to 1e300: no
+    # numpy warning, every field of a pool is finite, and the pool is refused just where
+    # 2 sqrt(3) max(1, |d|) max(1, 1/v, v), about 10^(max(ed, 0) + |ev|), passes 2^511 = 6.7e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ed, ev in itertools.product(range(-300, 301, 25), range(-320, 301, 20)):
+            d = np.array([1.0, -0.5, 1e-3]) * 10.0 ** ed
+            v = np.array([1.0, 3.0, 0.5]) * 10.0 ** ev
+            if max(ed, 0) + abs(ev) > 150:
+                with pytest.raises(ValueError, match="^estimates and variances lie too far from unit scale"):
+                    pool(d, v, method)
+                continue
+            res = pool(d, v, method)
+            fields = [res.pooled, res.se, res.ci_low, res.ci_high, res.p_value, res.tau2, res.q,
+                      res.q_p, res.i2, *res.weights]
+            assert all(math.isfinite(x) for x in fields), (ed, ev, res)
 
 
 def reml_tau2(d, v):

@@ -337,6 +337,13 @@ def test_t_quantile_raises_when_halley_runs_out_of_steps(monkeypatch):
     assert nm.t_quantile(1e-320, 2.0) == pytest.approx(-1.0 / math.sqrt(2e-320), rel=1e-12)
 
 
+def test_t_sf_raises_when_the_incomplete_beta_fraction_runs_out_of_steps(monkeypatch):
+    monkeypatch.setattr(nm, "_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match=r"^incomplete beta continued fraction failed for "
+                                              r"a=0\.5, b=2\.5, x=0\.16666666666666666$"):
+        nm.t_sf(1.0, 5.0)
+
+
 def test_t_cdf_keeps_digits_near_zero():
     # F(x; 2) - 1/2 = x / (2 sqrt(2 + x^2)), which 1 - tail would round to 0
     for x in (1e-9, -3e-12):

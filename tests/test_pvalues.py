@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -108,8 +109,39 @@ POS, NEG, NS = result(2.0, 0.01), result(-2.0, 0.01), result(0.5, 0.4)
 def test_vote_count_verdicts(results, verdict):
     vc = vote_count(results)
     assert vc.verdict == verdict
-    assert vc.total == len(results)
+    assert vc.significant_positive + vc.significant_negative + vc.non_significant == len(results)
     assert vc.warning == POOLING_WARNING
+
+
+def ladder_verdict(pos, neg, ns):
+    """The verdict as an eight-branch ladder, kept as the reference for the short rule."""
+    if pos > 0 and neg == 0 and ns == 0:
+        verdict = "positive"
+    elif neg > 0 and pos == 0 and ns == 0:
+        verdict = "negative"
+    elif pos == 0 and neg == 0:
+        verdict = "non-significant"
+    elif pos == ns and neg == 0:
+        verdict = "inconclusive"
+    elif pos > max(neg, ns):
+        verdict = "mostly positive"
+    elif ns >= max(pos, neg):
+        verdict = "mostly non-significant"
+    elif neg > max(pos, ns):
+        verdict = "mostly negative"
+    else:
+        verdict = "inconclusive"
+    return verdict
+
+
+def test_vote_count_verdict_matches_the_ladder_for_every_tally_up_to_twenty_of_each():
+    counts = [c for c in itertools.product(range(21), repeat=3) if any(c)]
+    assert len(counts) == 9260
+    for pos, neg, ns in counts:
+        vc = vote_count([POS] * pos + [NEG] * neg + [NS] * ns)
+        tallies = (vc.significant_positive, vc.significant_negative, vc.non_significant)
+        assert tallies == (pos, neg, ns) and all(type(t) is int for t in tallies)
+        assert vc.verdict == ladder_verdict(pos, neg, ns), (pos, neg, ns)
 
 
 def test_vote_count_tallies_and_alpha():
