@@ -47,9 +47,14 @@ class AnalysisWarning(UserWarning):
 
 
 def sample_mean(values) -> float:
-    """Mean from the correctly rounded sum: the same bits on every platform."""
-    # fsum reads Python floats faster than numpy scalars
-    return math.fsum(values.tolist() if type(values) is np.ndarray else values) / len(values)
+    """Mean from the correctly rounded sum: the same bits on every platform. A sum past the
+    float maximum is taken at a power-of-two scale, so a mean of finite values is finite."""
+    xs = values.tolist() if type(values) is np.ndarray else values  # fsum reads Python floats faster
+    try:
+        return math.fsum(xs) / len(xs)
+    except OverflowError:  # the scaled sum, at most n max|x| / 2^bit_length(n), is finite
+        scale = 2.0 ** len(xs).bit_length()
+        return math.fsum(x / scale for x in xs) / len(xs) * scale
 
 
 def sample_variance(values) -> float:
@@ -84,7 +89,8 @@ def sample_sd(values) -> float:
 def _median(values: np.ndarray) -> float:
     # np.median would import numpy.ma, about 1 MiB of resident memory
     s, h = np.sort(values), values.size // 2
-    return float(s[h]) if values.size % 2 else float((s[h - 1] + s[h]) / 2.0)
+    a, b = float(s[h - 1 + values.size % 2]), float(s[h])  # a == b for an odd size: (a + a) / 2 is a
+    return (a + b) / 2.0 if math.isfinite(a + b) else a / 2.0 + b / 2.0  # a finite pair's sum may not be
 
 
 def _centred(x: np.ndarray) -> tuple[np.ndarray | None, float]:

@@ -4,12 +4,12 @@ forest-plot data model.
 
 Every pool is one call to `pool` on plain arrays of estimates and variances, which
 `pool_fixed`, `pool_random` and `subgroup_analysis` take from `EffectSize`s. It and the
-meta-regression fit d once with the inverse-variance weights w = 1 / v, on an intercept
-alone or on an intercept and a centred moderator (`_fit`). That fit gives Q, the result at
-tau^2 = 0 and the moment estimator of the between-study variance (`_tau2_mm`), the
-random-effects default: DerSimonian-Laird without a moderator, the meta-regression's
-residual tau^2 with one. Only a tau^2 > 0 fits again, with 1 / (v + tau^2). The
-restricted-maximum-likelihood (REML) estimator is the other choice and the one subgroup
+meta-regression are one call each to `_model`, which fits d once with the inverse-variance
+weights w = 1 / v, on an intercept alone or on an intercept and a centred moderator (`_fit`).
+That fit gives Q, the result at tau^2 = 0 and the moment estimator of the between-study
+variance, the random-effects default: DerSimonian-Laird without a moderator, the
+meta-regression's residual tau^2 with one. Only a tau^2 > 0 fits again, with 1 / (v + tau^2).
+The restricted-maximum-likelihood (REML) estimator is the other choice and the one subgroup
 pools use, as the moment one understates heterogeneity in very small groups. It is the root
 of its score, bracketed by a vectorized scan and closed by one Illinois root finder
 (`_root`). Confidence intervals and p-values are z-based throughout.
@@ -64,10 +64,10 @@ class MetaResult:
 
 def _fit(d: np.ndarray, w: np.ndarray, x: np.ndarray | None = None
          ) -> tuple[tuple[float, ...], tuple[float, ...], float, float | np.ndarray]:
-    """Weighted least-squares fit of d on an intercept, or on an intercept and
-    the moderator x, in closed form. With x centred at its weighted mean the
-    two columns are orthogonal under w, so nothing is solved and a moderator
-    far from 0 costs no digits.
+    """Weighted least-squares fit of d on an intercept, or on an intercept and the
+    moderator x, in closed form. With x centred at its weighted mean the two columns are
+    orthogonal under w, so nothing is solved and a moderator far from 0 costs no digits;
+    x is scaled by a power of two first, which is exact, so that no square of it underflows.
 
     Returns the coefficients, their SEs for known variances 1/w, the weighted
     residual sum of squares Q and the leverages h_i = 1/sum(w) + (x_i - xbar)^2 / S,
@@ -78,6 +78,7 @@ def _fit(d: np.ndarray, w: np.ndarray, x: np.ndarray | None = None
     r = d - mean
     if x is None:
         return (mean,), (1.0 / math.sqrt(sw),), float(np.add.reduce(w * r ** 2)), 1.0 / sw
+    x = x / (unit := math.ldexp(1.0, math.frexp(float(np.maximum.reduce(np.abs(x))))[1] - 1))
     xbar = float(np.add.reduce(w * x) / sw)
     xc = x - xbar
     # a second pass takes out the rounding of xbar, which would move h at first order
@@ -87,19 +88,27 @@ def _fit(d: np.ndarray, w: np.ndarray, x: np.ndarray | None = None
     s = float(np.add.reduce(w * xc ** 2))
     slope = float(np.add.reduce(w * xc * r) / s)
     r -= slope * xc
-    return ((mean - slope * xbar, slope), (math.sqrt(1.0 / sw + xbar * xbar / s), 1.0 / math.sqrt(s)),
-            float(np.add.reduce(w * r ** 2)), 1.0 / sw + xc ** 2 / s)
+    return ((mean - slope * xbar, slope / unit), (math.sqrt(1.0 / sw + xbar * xbar / s),
+            1.0 / math.sqrt(s) / unit), float(np.add.reduce(w * r ** 2)), 1.0 / sw + xc ** 2 / s)
 
 
-def _tau2_mm(w: np.ndarray, fit: tuple, df: int) -> float:
-    """Moment estimator of the (residual) between-study variance, truncated at zero:
-    (Q_E - df) / (sum w - sum w^2 h), Q_E and h read from the caller's `_fit` with
-    w = 1 / v. Without a moderator it is DerSimonian-Laird's; with one, the residual one."""
-    if df < 1:
-        return 0.0
-    _, _, q, h = fit
-    c = float(np.add.reduce(w) - np.add.reduce(w * w * h))
-    return max(0.0, (q - df) / c) if c > 0.0 else 0.0
+def _model(d: np.ndarray, v: np.ndarray, x: np.ndarray | None, method: str) -> tuple:
+    """Fits d (on the moderator x, if any) with w = 1 / v, then tau^2: 0 ("fixed"), the moment
+    (Q - df) / (sum w - sum w^2 h) truncated at 0 ("dl") or REML's ("reml", no x), and refits
+    with 1 / (v + tau^2) if tau^2 > 0. Returns the first fit, tau^2, the final fit and its weights."""
+    # below 2^511 the weights, their squares, w (d - mu)^2 summed and REML's grid stay finite
+    if 2.0 * math.sqrt(d.size) * max(1.0, float(np.maximum.reduce(np.abs(d)))) * max(
+            1.0, 1.0 / float(np.minimum.reduce(v)), float(np.maximum.reduce(v))) >= 2.0 ** 511:
+        raise ValueError("estimates and variances lie too far from unit scale to pool")
+    first = _fit(d, w := 1.0 / v, x)
+    df, tau2 = d.size - (1 if x is None else 2), 0.0
+    if method == "reml":
+        tau2 = _tau2_reml(d, v)
+    elif method == "dl" and df > 0:
+        c = float(np.add.reduce(w) - np.add.reduce(w * w * first[3]))
+        tau2 = max(0.0, (first[2] - df) / c) if c > 0.0 else 0.0
+    fit = _fit(d, w := 1.0 / (v + tau2), x) if tau2 > 0.0 else first
+    return first, tau2, fit, w
 
 
 def _z_row(est: float, se: float) -> tuple[float, float, tuple[float, float], float]:
@@ -191,23 +200,15 @@ def pool(estimates, variances, method: str = "dl", labels=None) -> MetaResult:
         raise ValueError("cannot pool an empty set of estimates")
     if not np.isfinite(d).all():
         raise ValueError("estimates must be finite")
-    v_min, v_max = float(np.minimum.reduce(v)), float(np.maximum.reduce(v))
-    if not (v_min > 0.0 and v_max < math.inf):  # NaN fails both
+    if not (np.minimum.reduce(v) > 0.0 and np.maximum.reduce(v) < math.inf):  # NaN fails both
         raise ValueError("variances must be positive and finite")
-    # below 2^511 the weights, their squares, w (d - mu)^2 summed and REML's grid stay finite
-    if 2.0 * math.sqrt(d.size) * max(1.0, float(np.maximum.reduce(np.abs(d)))) * max(
-            1.0, 1.0 / v_min, v_max) >= 2.0 ** 511:
-        raise ValueError("estimates and variances lie too far from unit scale to pool")
+    first, tau2, fit, w = _model(d, v, None, method)
     labels = tuple(map(str, range(1, d.size + 1))) if labels is None else tuple(labels)
     if len(labels) != d.size:
         raise ValueError(f"expected {d.size} labels, got {len(labels)}")
-    q = (fit := _fit(d, w := 1.0 / v))[2]
-    q_df = d.size - 1
+    q, q_df = first[2], d.size - 1
     q_p = chisq_sf(q, q_df) if q_df > 0 else 1.0
     i2 = max(0.0, (q - q_df) / q * 100.0) if q_df > 0 and q > 0 else 0.0
-    tau2 = 0.0 if method == "fixed" else _tau2_mm(w, fit, q_df) if method == "dl" else _tau2_reml(d, v)
-    if tau2 != 0.0:
-        fit = _fit(d, w := 1.0 / (v + tau2))
     pooled, se, (ci_low, ci_high), p = _z_row(*fit[0], *fit[1])
     return MetaResult(pooled=pooled, se=se, ci_low=ci_low, ci_high=ci_high, p_value=p,
                       tau2=tau2, q=q, q_df=q_df, q_p=q_p, i2=i2,
@@ -293,8 +294,9 @@ def meta_regression(effects: list[EffectSize]) -> MetaRegressionResult:
         raise ValueError("every effect size needs a moderator value")
     if x.max() == x.min():
         raise ValueError("moderator is constant across studies")
-    tau2 = _tau2_mm(w := 1.0 / v, fit := _fit(d, w, x), len(d) - 2)
-    (b0, b1), (se0, se1), _, _ = fit if tau2 == 0.0 else _fit(d, 1.0 / (v + tau2), x)
+    _, tau2, ((b0, b1), (se0, se1), _, _), _ = _model(d, v, x, "dl")
+    if not (se1 >= 2.0 ** -1022 and math.isfinite(abs(b1) + _Z975 * se1)):  # the t-tests' SE floor
+        raise ValueError("the slope or its standard error leaves the normal float range")
     return MetaRegressionResult(*_z_row(b0, se0), *_z_row(b1, se1), tau2)
 
 

@@ -568,3 +568,44 @@ def test_profile_series_rejects_a_row_of_the_wrong_length():
     with pytest.raises(ValueError, match="^E2: expected one value per category$"):
         dsc.ProfileSeries("outcome", ("control", "treatment"),
                           (("E1", (1.0, 2.0)), ("E2", (1.0,))))
+
+
+# a mean or median of finite values is finite, even where their sum passes the float maximum
+
+@pytest.mark.parametrize("values, mean", [
+    ([1e308, 1.5e308], 1.25e308),
+    ([-1.7e308] * 5, -1.7e308),
+    ([1.7e308, 1.7e308, -1.7e308, 1e-300], 1.7e308 / 4.0 + 1e-300 / 4.0),
+    ([sys.float_info.max] * 3, sys.float_info.max),
+])
+def test_sample_mean_of_finite_values_past_the_float_maximum_is_finite(values, mean):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dsc.sample_mean(values) == mean
+        assert dsc.sample_mean(np.array(values)) == mean
+
+
+@pytest.mark.parametrize("values, median", [
+    ([1e308, 1.5e308], 1e308 / 2.0 + 1.5e308 / 2.0),
+    ([1.5e308, 1e308, 3.0, 1.0], (3.0 + 1e308) / 2.0),  # the middle pair's sum is finite
+    ([-1.7e308, -1.6e308], -1.7e308 / 2.0 - 1.6e308 / 2.0),
+    ([sys.float_info.max, 3.0, sys.float_info.max], sys.float_info.max),
+])
+def test_median_of_finite_values_past_the_float_maximum_is_finite(values, median):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dsc._median(np.array(values)) == median
+
+
+def test_summary_of_a_between_subjects_arm_near_the_float_maximum_is_finite():
+    obs = (rd.Observation("E1", "c1", rd.CONTROL, 1e308), rd.Observation("E1", "c2", rd.CONTROL, 1.5e308),
+           rd.Observation("E1", "t1", rd.TREATMENT, 1.0), rd.Observation("E1", "t2", rd.TREATMENT, 3.0))
+    rep = rd.Replication("E1", "between", obs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = dsc.summarize_replication(rep)
+        profile = dsc.profile_series_outcomes(rd.ReplicationSet((rep,)))
+    assert (s.mean_control, s.median_control, s.mean_treatment, s.median_treatment) == (
+        1.25e308, 1.25e308, 2.0, 2.0)
+    assert s.sd_control == pytest.approx(math.sqrt(0.125) * 1e308, rel=1e-15)
+    assert profile.rows == (("E1", (1.25e308, 2.0)),)

@@ -669,3 +669,78 @@ def test_each_pool_fits_the_inverse_variance_weights_once(family, monkeypatch):
     result, n = fits(subgroup_analysis)
     assert all((group.tau2 > 0.0) == heterogeneous for group in result.groups.values())
     assert n == len(result.groups) * (2 if heterogeneous else 1)
+
+
+# pool and meta_regression share one model routine: the same float-range rule refuses the
+# same estimates and variances, and a moderator of any scale fits
+
+def regression(d, v, x):
+    return meta_regression([effect(f"S{i}", *row) for i, row in enumerate(zip(d, v, x))])
+
+
+@pytest.mark.parametrize("k", [1, -1, 300, -300, 600, -600])
+def test_meta_regression_on_a_moderator_scaled_by_a_power_of_two_keeps_every_bit(k):
+    # x 2^k is fitted at x's own unit, so the intercept, its SE and tau^2 keep their bits,
+    # and the slope and its SE are scaled by exactly 2^-k
+    rng = np.random.default_rng(33)
+    d, v, x = rng.normal(0.3, 0.8, 8), rng.uniform(0.02, 0.3, 8), rng.uniform(1.0, 4.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, scaled = regression(d, v, x), regression(d, v, np.ldexp(x, k))
+    assert base.tau2 > 0.0
+    assert (scaled.intercept, scaled.intercept_se, scaled.tau2) == (
+        base.intercept, base.intercept_se, base.tau2)
+    assert (scaled.slope, scaled.slope_se) == (math.ldexp(base.slope, -k), math.ldexp(base.slope_se, -k))
+
+
+@pytest.mark.parametrize("d, v", [
+    ([0.1, 0.2, 0.3, 0.4], [0.1, 1e-320, 0.2, 0.3]),
+    ([1e200, -1e200, 1e200, -1e200], [1.0] * 4),
+    ([0.1, 0.2, 0.3], [0.1, 1e-320, 0.2]),  # 1 / v overflows
+    ([0.1] * 3, [1e-308] * 3),  # the sum of the weights overflows
+    ([0.1, 0.2, 0.3], [0.1, 1e-300, 0.2]),  # the square of a weight overflows
+    ([0.1, 0.5, 0.3], [1e308] * 3),  # a pool's REML grid top, 10 max v, overflows
+    ([1e160, -1e160, 0.0], [1.0] * 3),  # (d - mu)^2 overflows
+], ids=["subnormal variance k=4", "huge estimates k=4", "subnormal variance", "tiny variances",
+        "squared weight", "REML grid top", "huge estimates"])
+def test_meta_regression_rejects_inputs_past_the_float_range_by_pools_rule(d, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^estimates and variances lie too far from unit scale to pool$"):
+            regression(d, v, range(1, len(d) + 1))
+
+
+@pytest.mark.parametrize("v, x", [
+    ([1e-100] * 3, [0.5e308, 1e308, 1.5e308]),  # the slope's SE is subnormal
+    ([1.0] * 3, [1e-308, 2e-308, 3e-308]),  # the slope overflows
+    ([1.0] * 3, [5e-324, 1e-323, 1.5e-323]),  # subnormal moderators
+])
+def test_meta_regression_rejects_a_slope_past_the_normal_float_range_by_name(v, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the slope or its standard error leaves the normal float range$"):
+            regression([0.0, 1.0, 5.0], v, x)
+
+
+def test_meta_regression_at_every_scale_fits_finitely_or_names_the_refusal():
+    # four studies, estimates from 1e-300 to 1e300, variances from 1e-320 to 1e300 and
+    # moderators from 1e-320 to 1e300: no numpy warning, and every field of a fit is finite
+    outcomes = {"fit": 0, "estimates and variances lie too far from unit scale to pool": 0,
+                "the slope or its standard error leaves the normal float range": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ed, ev, ex in itertools.product(range(-300, 301, 50), range(-320, 301, 40),
+                                            range(-320, 301, 30)):
+            d = np.array([1.0, -0.5, 1e-3, 0.7]) * 10.0 ** ed
+            v = np.array([1.0, 3.0, 0.5, 2.0]) * 10.0 ** ev
+            x = np.array([1.0, 2.0, 3.0, 5.0]) * 10.0 ** ex
+            try:
+                res = regression(d, v, x)
+            except ValueError as exc:
+                outcomes[str(exc)] += 1
+                continue
+            outcomes["fit"] += 1
+            fields = [res.intercept, res.intercept_se, *res.intercept_ci, res.intercept_p, res.slope,
+                      res.slope_se, *res.slope_ci, res.slope_p, res.tau2]
+            assert all(math.isfinite(f) for f in fields), (ed, ev, ex, res)
+    assert all(outcomes.values()), outcomes
